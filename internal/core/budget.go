@@ -37,8 +37,8 @@ func (m *Manager) PowerBudget() float64 { return m.budgetW }
 func (m *Manager) budgetActive() bool { return m.budgetW > 0 }
 
 // applyBudget stamps the budget verdict on a freshly priced candidate.
-// Called from the tails of price and priceStats — the two valuation
-// paths are bit-identical twins and must stay that way.
+// Called from the tail of priceStats (and of the replay oracle's price,
+// which must stay its bit-identical twin).
 func (m *Manager) applyBudget(c *Candidate) {
 	if !m.budgetActive() {
 		return

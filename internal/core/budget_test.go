@@ -41,8 +41,8 @@ func TestSetPowerBudgetSanitises(t *testing.T) {
 
 // TestBudgetUnconstrainedDifferential is the core level of the cap=+Inf
 // differential suite: a manager with no budget, one set to 0, and one
-// set to +Inf must produce deeply equal decision streams on both the
-// batch and incremental paths.
+// set to +Inf must produce deeply equal decision streams, whether the
+// periods arrive as whole logs or streamed.
 func TestBudgetUnconstrainedDifferential(t *testing.T) {
 	p := testParams()
 	p.HysteresisFrac = 0.05
@@ -106,7 +106,7 @@ func TestBudgetOverridesHysteresisHold(t *testing.T) {
 	o := budgetStream(p, 1)[0]
 
 	free, _ := NewManager(p)
-	d := free.Decide(o)
+	d := decideChecked(t, free, o)
 	if d.Banks != p.TotalBanks {
 		t.Fatalf("precondition: hysteresis did not hold the %d-bank default (got %d)", p.TotalBanks, d.Banks)
 	}
@@ -124,7 +124,7 @@ func TestBudgetOverridesHysteresisHold(t *testing.T) {
 
 	capped, _ := NewManager(p)
 	capped.SetPowerBudget(budget)
-	g := capped.Decide(o)
+	g := decideChecked(t, capped, o)
 	if g.OverBudget {
 		t.Fatalf("budget %g W admits candidate %d banks at %g W, yet decision flagged over-budget",
 			budget, opt.Banks, opt.TotalPower)
@@ -148,11 +148,11 @@ func TestBudgetGracefulWhenImpossible(t *testing.T) {
 	stream := budgetStream(p, 1)
 
 	free, _ := NewManager(p)
-	base := free.Decide(stream[0])
+	base := decideChecked(t, free, stream[0])
 
 	capped, _ := NewManager(p)
 	capped.SetPowerBudget(1e-3) // far below even one bank's nap power
-	d := capped.Decide(stream[0])
+	d := decideChecked(t, capped, stream[0])
 	if !d.OverBudget {
 		t.Fatal("impossible budget not flagged OverBudget")
 	}
@@ -165,9 +165,10 @@ func TestBudgetGracefulWhenImpossible(t *testing.T) {
 	}
 }
 
-// TestBudgetIncrementalMatchesBatch extends the incremental-vs-batch
-// equivalence proof to a finite budget: both observation paths apply the
-// constraint through bit-identical pricing tails.
+// TestBudgetIncrementalMatchesBatch extends the whole-log-vs-streamed
+// equivalence proof to a finite budget: both entry points apply the
+// constraint identically, and every capped candidate matches the replay
+// oracle's pricing (over-budget verdict included).
 func TestBudgetIncrementalMatchesBatch(t *testing.T) {
 	p := testParams()
 	p.HysteresisFrac = 0.05
@@ -179,7 +180,7 @@ func TestBudgetIncrementalMatchesBatch(t *testing.T) {
 
 	for i, o := range budgetStream(p, 5) {
 		o.CurrentBanks = batch.Last().Banks
-		want := batch.Decide(o)
+		want := decideChecked(t, batch, o)
 		got := inc.DecideIncremental(feedIncremental(inc, o))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("period %d: capped incremental diverges\nbatch %+v\nincr  %+v", i, want, got)

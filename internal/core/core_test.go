@@ -98,7 +98,7 @@ func TestDecideCachesWorkingSet(t *testing.T) {
 	bankPages := p.bankPages()
 	ws := 8 * bankPages
 	log := synthLog(ws, 4000, 0.15, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: int64(len(log)), CoalesceFactor: 1})
+	d := decideChecked(t, m, Observation{Log: log, CacheAccesses: int64(len(log)), CoalesceFactor: 1})
 	if int64(d.Banks)*bankPages < ws {
 		t.Errorf("decision %d banks (%d pages) does not cover working set %d pages",
 			d.Banks, int64(d.Banks)*bankPages, ws)
@@ -219,7 +219,7 @@ func TestUtilizationCapMarksInfeasible(t *testing.T) {
 	p.UtilCap = 1e-9 // nothing is feasible
 	m, _ := NewManager(p)
 	log := synthLog(64, 1000, 0.05, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: 1000, CoalesceFactor: 1})
+	d := decideChecked(t, m, Observation{Log: log, CacheAccesses: 1000, CoalesceFactor: 1})
 	if d.Chosen.Feasible {
 		t.Error("candidate marked feasible under impossible cap")
 	}

@@ -12,11 +12,10 @@ import (
 // 16 MB banks (64 KB pages), a 256k-reference period log whose Zipf
 // reuse spans thousands of banks, and a 32-candidate pass limit — the
 // configuration whose Fig. 7/8 inner loop the sweep accelerates.
-func benchDecideSetup(b *testing.B, sequential bool) (*Manager, Observation) {
+func benchDecideSetup(b *testing.B) (*Manager, Observation) {
 	b.Helper()
 	p := DefaultParams(64*simtime.KB, 16*simtime.MB, 8192, disk.Barracuda(), mem.RDRAM(16*simtime.MB))
 	p.HysteresisFrac = -1 // pure optimiser: identical work every iteration
-	p.SequentialReplay = sequential
 	m, err := NewManager(p)
 	if err != nil {
 		b.Fatal(err)
@@ -25,11 +24,13 @@ func benchDecideSetup(b *testing.B, sequential bool) (*Manager, Observation) {
 	return m, obs
 }
 
-// BenchmarkDecide measures one full joint decision — all refinement
-// passes — on the multi-threshold sweep path with parallel candidate
-// pricing.
+// BenchmarkDecide measures one full joint decision through the whole-log
+// entry point: IngestBatch of the period's 256k references plus the
+// boundary query, all refinement passes included. It is what a caller
+// holding a complete period log pays; ci/check_decide_speed.sh gates on
+// the boundary-only BenchmarkDecideIncremental staying strictly cheaper.
 func BenchmarkDecide(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,7 +48,7 @@ func BenchmarkDecide(b *testing.B) {
 // GapStream.Finish is idempotent, so the same ingested period can be
 // decided repeatedly.
 func BenchmarkDecideIncremental(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	for j := range obs.Log {
 		m.Ingest(obs.Log[j])
 	}
@@ -71,7 +72,7 @@ func BenchmarkDecideIncremental(b *testing.B) {
 // bank-space gap log. Reported per reference, it is the tax Ingest adds
 // to request handling so the period boundary can run in O(banks + gaps).
 func BenchmarkIngest(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,7 +89,7 @@ func BenchmarkIngest(b *testing.B) {
 // is what Fenwick-walk amortisation and hoisted per-call checks buy per
 // reference; ci/check_ingest_speed.sh gates on batch strictly winning.
 func BenchmarkIngestBatch(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	const block = 4096
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -103,17 +104,5 @@ func BenchmarkIngestBatch(b *testing.B) {
 			log = log[n:]
 		}
 		m.DiscardPeriod()
-	}
-}
-
-// BenchmarkDecideReplayReference is the retained pre-sweep reference: the
-// same decision computed by replaying the log once per candidate size,
-// serially. Compare ns/op and allocs/op against BenchmarkDecide.
-func BenchmarkDecideReplayReference(b *testing.B) {
-	m, obs := benchDecideSetup(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Decide(obs)
 	}
 }

@@ -67,13 +67,13 @@ func TestChooseTimeoutDegenerateSamples(t *testing.T) {
 	}
 }
 
-// burstLog returns a log whose accesses all land at one instant: every
-// candidate size then sees a single idle interval spanning the rest of
-// the period, which no Pareto fit can be derived from (mean == min).
-func burstLog(p Params, n int) []lrusim.DepthRecord {
+// burstLog returns a log whose accesses all land at one instant, at:
+// every candidate size then sees a single idle interval spanning the rest
+// of the period, which no Pareto fit can be derived from (mean == min).
+func burstLog(p Params, n int, at simtime.Seconds) []lrusim.DepthRecord {
 	log := make([]lrusim.DepthRecord, n)
 	for i := range log {
-		log[i] = lrusim.DepthRecord{Time: 0, Page: int64(i), Depth: lrusim.Cold, Bytes: p.PageSize}
+		log[i] = lrusim.DepthRecord{Time: at, Page: int64(i), Depth: lrusim.Cold, Bytes: p.PageSize}
 	}
 	return log
 }
@@ -89,8 +89,8 @@ func TestDecideFallbackNoHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Decide(Observation{
-		Log:            burstLog(p, 50),
+	d := decideChecked(t, m, Observation{
+		Log:            burstLog(p, 50, 0),
 		CacheAccesses:  50,
 		CoalesceFactor: 1,
 		PeriodStart:    0,
@@ -135,7 +135,7 @@ func TestDecideFallbackHoldsPrevious(t *testing.T) {
 		good = append(good, lrusim.DepthRecord{Time: simtime.Seconds(tm), Depth: lrusim.Cold, Bytes: p.PageSize})
 		gap += 15
 	}
-	d1 := m.Decide(Observation{
+	d1 := decideChecked(t, m, Observation{
 		Log:           good,
 		CacheAccesses: int64(len(good)),
 		PeriodStart:   0,
@@ -145,8 +145,8 @@ func TestDecideFallbackHoldsPrevious(t *testing.T) {
 		t.Fatal("healthy observation fell back")
 	}
 
-	d2 := m.Decide(Observation{
-		Log:           burstLog(p, 50),
+	d2 := decideChecked(t, m, Observation{
+		Log:           burstLog(p, 50, p.Period),
 		CacheAccesses: 50,
 		PeriodStart:   p.Period,
 		PeriodEnd:     2 * p.Period,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -11,67 +10,43 @@ import (
 	"jointpm/internal/simtime"
 )
 
-// This file is the incremental half of the manager: the streaming
-// observation API (Ingest / DecideIncremental / DiscardPeriod), the
-// compressed-event pricing kernel both Decide entry points share, and the
-// persistent per-manager scratch that makes the hot path allocation-free.
+// This file is the manager's observation and decision path: the
+// streaming observation API (Ingest / IngestBatch / DecideIncremental /
+// DiscardPeriod, with Decide as IngestBatch + DecideIncremental), the
+// compressed-event pricing kernel, and the persistent per-manager scratch
+// that makes the hot path allocation-free.
 //
-// The design invariant: batch Decide and DecideIncremental never diverge,
-// because both reduce their inputs to the SAME intermediate form — a
-// depthProfile (integer histograms) plus a compressed SweepEvent stream —
-// and hand it to one shared driver (decideFrom). Batch builds that form
-// in a single fused pass over the period log; the incremental path has
-// been accumulating it reference-by-reference in a Fenwick-backed
-// lrusim.DepthHist and only materialises O(banks) prefix sums at decide
-// time. Per-candidate floating-point reductions inside the kernel fold
-// emissions in chronological order, which is exactly the order the
-// sequential replay path visits intervals, so the equivalence is
-// bit-exact, not approximate (see TestDecideIncrementalMatchesBatch and
-// TestDecideSweepMatchesReplay).
+// References accumulate reference-by-reference in a Fenwick-backed
+// lrusim.DepthHist, whose GapStream folds the bank-space idle-gap log at
+// ingest; a period boundary only materialises O(banks) prefix sums and
+// prices the candidate slate from the gap log. Per-candidate
+// floating-point reductions inside the kernel fold emissions in
+// chronological order, which is exactly the order a per-candidate log
+// replay (the paper's literal procedure) visits intervals, so the kernel
+// is bit-exact against that replay — the test-only oracle in
+// replay_oracle_test.go.
 
-// DecideMode selects which Decide entry point a host (simulator engine,
-// daemon shard) drives the manager through. The zero value is the batch
-// path, preserving the behaviour of configurations that predate the
-// incremental path.
+// DecideMode selected between a batch and an incremental observation
+// path when there were two.
+//
+// Deprecated: there is one observation path; hosts always stream
+// references into the manager. The type and its constants remain so
+// existing configurations compile, and every value is ignored.
 type DecideMode int
 
 const (
-	// ModeBatch collects the period's depth log and calls Decide once at
-	// the period boundary.
+	// Deprecated: ignored; see DecideMode.
 	ModeBatch DecideMode = iota
-	// ModeIncremental feeds every reference to Manager.Ingest as it
-	// happens and calls DecideIncremental at the boundary.
+	// Deprecated: ignored; see DecideMode.
 	ModeIncremental
 )
 
-// String returns the flag spelling of the mode.
-func (m DecideMode) String() string {
-	if m == ModeIncremental {
-		return "incremental"
-	}
-	return "batch"
-}
-
-// ParseDecideMode parses a -decide flag value.
-func ParseDecideMode(s string) (DecideMode, error) {
-	switch s {
-	case "batch":
-		return ModeBatch, nil
-	case "incremental":
-		return ModeIncremental, nil
-	}
-	return ModeBatch, fmt.Errorf("core: unknown decide mode %q (want batch or incremental)", s)
-}
-
-// decideInput is the mode-independent form of one period's observation:
-// the scalar inputs, the integer depth profile, and the compressed event
-// stream. rawLog (obs.Log) is only consulted by the SequentialReplay
-// ablation; the kernel never touches it.
+// decideInput is one period's observation in the kernel's form: the
+// scalar inputs, the integer depth profile, and the bank-space gap log.
 type decideInput struct {
 	obs      Observation
-	logLen   int   // references observed (len(obs.Log) ≡ hist.Refs())
-	maxDepth int64 // deepest non-cold reference, in pages
-	events   []lrusim.SweepEvent
+	logLen   int               // references observed (hist.Refs())
+	maxDepth int64             // deepest non-cold reference, in pages
 	gaps     []lrusim.Emission // bank-space gap log (see lrusim.GapStream)
 	prof     *depthProfile
 }
@@ -82,13 +57,10 @@ type decideInput struct {
 // only per-decision allocation left is the right-sized Candidates slice
 // the Decision hands to the caller.
 type decideScratch struct {
-	prof   depthProfile
-	pages  pageSet
-	events []lrusim.SweepEvent
-	gs     lrusim.GapStream // batch-mode gap-log materialisation
-	sweep  lrusim.EventSweeper
-	in     decideInput
-	i64    []int64 // Fenwick prefix-sum materialisation buffer
+	prof  depthProfile
+	sweep lrusim.EventSweeper
+	in    decideInput
+	i64   []int64 // Fenwick prefix-sum materialisation buffer
 
 	slateBanks []int32
 	tcs        []TimeoutChoice
@@ -167,13 +139,12 @@ func (m *Manager) DiscardPeriod() {
 	m.flushIngestSpan()
 }
 
-// DecideIncremental is Decide over the references streamed through Ingest
-// since the previous period boundary: obs carries the scalar calibration
-// inputs (CacheAccesses, CoalesceFactor, period bounds, CurrentBanks) and
-// obs.Log is ignored. It returns a Decision bit-identical to what batch
-// Decide would return for the same references, in O(banks + events)
-// instead of O(references), and clears the ingested state for the next
-// period.
+// DecideIncremental decides over the references streamed through
+// Ingest/IngestBatch since the previous period boundary: obs carries the
+// scalar calibration inputs (CacheAccesses, CoalesceFactor, period
+// bounds, CurrentBanks) and obs.Log is ignored. It runs in O(banks +
+// kept gaps) instead of O(references), and clears the ingested state for
+// the next period.
 func (m *Manager) DecideIncremental(o Observation) Decision {
 	hook := m.p.SpanHook
 	if hook == nil {
@@ -219,8 +190,8 @@ func (m *Manager) decideIncremental(o Observation) Decision {
 // at, keep that size (with the fresh period's re-fitted timeout) without
 // re-running the slate search. Any larger drift — or an infeasible or
 // distrusted re-evaluation — falls through to the full search. With the
-// default RefitDriftFrac = 0 the shortcut is disabled and the incremental
-// path stays bit-identical to batch Decide.
+// default RefitDriftFrac = 0 the shortcut is disabled and every period
+// runs the full search.
 func (m *Manager) tryDriftHold(o *Observation) (Decision, bool) {
 	f := m.p.RefitDriftFrac
 	if f <= 0 {
@@ -293,79 +264,6 @@ func (m *Manager) emptyDecision(o Observation, logLen int) Decision {
 	return d
 }
 
-// buildInput reduces a batch observation log to the kernel's input form
-// in one fused pass: depth profile, reference counts, max depth, and the
-// compressed event stream, all in manager-owned scratch. The event
-// compression must match lrusim.DepthHist.Observe exactly — shallow
-// references (at or below MinBanks, a miss-bound-zero no-op for every
-// candidate the manager prices) are dropped, and with a positive
-// aggregation window same-timestamp events collapse to the deepest.
-func (m *Manager) buildInput(o *Observation) *decideInput {
-	s := &m.scratch
-	bankPages := m.p.bankPages()
-	maxBanks := m.p.TotalBanks
-	prof := &s.prof
-	prof.reset(bankPages, maxBanks)
-	s.pages.init(len(o.Log))
-	s.events = s.events[:0]
-	dedup := m.p.Window > 0
-	minKeep := int64(m.p.MinBanks)
-	coldBank := int32(maxBanks) + 1
-	maxDepth := int64(0)
-	for i := range o.Log {
-		r := &o.Log[i]
-		evBank := int32(0)
-		if r.Depth == lrusim.Cold {
-			prof.cold += r.Bytes
-			prof.coldCount++
-			s.pages.add(r.Page)
-			evBank = coldBank
-		} else {
-			d := int64(r.Depth)
-			if d > maxDepth {
-				maxDepth = d
-			}
-			b := (d-1)/bankPages + 1
-			cb := b
-			if cb > int64(maxBanks) {
-				cb = int64(maxBanks)
-			}
-			prof.cumTotal[cb] += r.Bytes
-			prof.total += r.Bytes
-			if s.pages.add(r.Page) {
-				prof.cumFirst[cb] += r.Bytes
-			}
-			kb := b
-			if kb > int64(maxBanks)+1 {
-				kb = int64(maxBanks) + 1
-			}
-			prof.cumCount[kb]++
-			prof.nonColdCount++
-			if kb > minKeep {
-				evBank = int32(kb)
-			}
-		}
-		if evBank == 0 {
-			continue
-		}
-		if dedup {
-			if n := len(s.events); n > 0 && s.events[n-1].T == r.Time {
-				if evBank > s.events[n-1].Bank {
-					s.events[n-1].Bank = evBank
-				}
-				continue
-			}
-		}
-		s.events = append(s.events, lrusim.SweepEvent{T: r.Time, Bank: evBank})
-	}
-	prof.finish()
-	start, end := m.bounds(*o)
-	gaps := lrusim.BuildGapLog(&s.gs, s.events, maxBanks, m.p.Window, start, end)
-	in := &s.in
-	*in = decideInput{obs: *o, logLen: len(o.Log), maxDepth: maxDepth, events: s.events, gaps: gaps, prof: prof}
-	return in
-}
-
 // inputFromHist materialises the kernel's input form from the ingested
 // DepthHist: three O(banks) prefix-sum queries, the event stream the
 // histogram already holds, and the bank-space gap log the histogram's
@@ -378,7 +276,7 @@ func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	h := m.hist
 	maxBanks := m.p.TotalBanks
 	prof := &s.prof
-	prof.reset(m.p.bankPages(), maxBanks)
+	prof.reset(maxBanks)
 	prof.coldCount, prof.cold = h.Cold()
 	prof.nonColdCount, prof.total = h.NonCold()
 	s.i64 = h.AppendTotalPrefix(s.i64[:0])
@@ -394,7 +292,7 @@ func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	start, end := m.bounds(*o)
 	in := &s.in
 	*in = decideInput{obs: *o, logLen: int(h.Refs()), maxDepth: h.MaxDepth(),
-		events: h.Events(), gaps: h.FinishGaps(start, end), prof: prof}
+		gaps: h.FinishGaps(start, end), prof: prof}
 	return in
 }
 
@@ -427,9 +325,7 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 
 	// Coarse-to-fine search at EnumUnit granularity. The energy curve is
 	// evaluated on a shrinking grid around the best point; each pass costs
-	// one multi-threshold sweep of the event stream for its whole
-	// candidate slate (or one replay per candidate under the
-	// SequentialReplay ablation).
+	// one remapped fold of the gap log for its whole candidate slate.
 	lo, hi := m.p.MinBanks, hiBanks
 	var best Candidate
 	bestSet := false
@@ -604,17 +500,8 @@ func growCandidates(s []Candidate, n int) []Candidate {
 // remapped reduction per pass, O(kept gaps) regardless of slate), then
 // prices every candidate from those reductions — no interval list is
 // ever materialised and no per-slate sweep of the event stream runs.
-// Under the SequentialReplay ablation (batch mode only: it needs the raw
-// log) each candidate is priced by a full log replay, the paper's literal
-// procedure; the paths produce bit-identical candidates.
 func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	if len(banks) == 0 {
-		return
-	}
-	if m.p.SequentialReplay && in.obs.Log != nil {
-		for i, b := range banks {
-			out[i] = m.evaluate(in.obs, b, in.prof)
-		}
 		return
 	}
 	k := len(banks)
@@ -692,7 +579,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	// Phase 4 (metrics only): for candidates the eq. 6 floor priced out of
 	// spinning down, re-value at the unclamped timeout to attribute the
 	// loss to the delay cap. Runs only when the rejected_delay counter is
-	// live, mirroring the batch path's lazily-paid second interval walk.
+	// live, mirroring the replay oracle's lazily-paid second interval walk.
 	if needDelay {
 		sw.TailStats(s.to2, s.ts2, s.h2)
 		pd := float64(m.p.DiskSpec.StaticPower())
@@ -733,12 +620,12 @@ func (m *Manager) chooseTimeoutStats(ni int64, minGap, sumGap float64, nd, cache
 	return m.finishTimeout(fit, err, ni, nd, cacheAccesses, span)
 }
 
-// priceStats is the kernel's counterpart of price: the identical
-// valuation arithmetic fed from streaming reductions — nd and profile
-// byte queries, ni/covered from the sweep fold, the timeout choice, and
-// the tail excess (tailTS, tailH) from the emission pass — instead of a
-// materialised interval list. The second return value asks the caller to
-// run the delay-cap attribution pass for this candidate.
+// priceStats values one candidate from streaming reductions — nd and
+// profile byte queries, ni/covered from the sweep fold, the timeout
+// choice, and the tail excess (tailTS, tailH) from the emission pass —
+// with the same arithmetic the replay oracle applies to a materialised
+// interval list. The second return value asks the caller to run the
+// delay-cap attribution pass for this candidate.
 func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered float64, tc TimeoutChoice, tailTS float64, tailH int64) (Candidate, bool) {
 	p := m.p
 	pages := int64(banks) * p.bankPages()

@@ -35,14 +35,15 @@ func feedIncremental(m *Manager, o Observation) Observation {
 }
 
 // TestDecideIncrementalMatchesBatch is the manager-level equivalence
-// proof: a batch manager deciding from full period logs and an
-// incremental twin ingesting the same records one at a time must produce
-// bit-identical decisions period after period — including the carried
-// state the next period's decision depends on (hysteresis reference,
-// refill accounting, last decision). Exercised across parameter shapes
-// that steer the kernel down different paths: zero aggregation window
-// (zero-length gaps are emitted), raised MinBanks (shallow-event
-// dropping), hysteresis on and off, and an empty period in the stream.
+// proof: a manager handed full period logs through Decide and a twin
+// ingesting the same records one at a time must produce bit-identical
+// decisions period after period — including the carried state the next
+// period's decision depends on (hysteresis reference, refill accounting,
+// last decision) — and every candidate either prices must match the
+// replay oracle. Exercised across parameter shapes that steer the kernel
+// down different paths: zero aggregation window (zero-length gaps are
+// emitted), raised MinBanks (shallow-event dropping), hysteresis on and
+// off, and an empty period in the stream.
 func TestDecideIncrementalMatchesBatch(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -77,7 +78,7 @@ func TestDecideIncrementalMatchesBatch(t *testing.T) {
 				o = shiftObservation(o, t0)
 				t0 = o.PeriodEnd
 
-				want := batch.Decide(o)
+				want := decideChecked(t, batch, o)
 				got := inc.DecideIncremental(feedIncremental(inc, o))
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%s period %d: incremental decision diverges\nbatch: %+v\nincr:  %+v",
@@ -90,8 +91,9 @@ func TestDecideIncrementalMatchesBatch(t *testing.T) {
 
 // TestDecideIncrementalSurvivesSnapshotCut replays the same stream with a
 // snapshot/restore cut at a period boundary: the restored manager must
-// continue exactly where the uninterrupted incremental run was, so its
-// remaining decisions match the batch run bit for bit.
+// continue exactly where the uninterrupted run was, so its remaining
+// decisions match the whole-log twin (itself held to the replay oracle)
+// bit for bit.
 func TestDecideIncrementalSurvivesSnapshotCut(t *testing.T) {
 	p := testParams()
 	p.HysteresisFrac = 0.05
@@ -105,10 +107,10 @@ func TestDecideIncrementalSurvivesSnapshotCut(t *testing.T) {
 		o = shiftObservation(o, t0)
 		t0 = o.PeriodEnd
 
-		want := batch.Decide(o)
+		want := decideChecked(t, batch, o)
 		got := inc.DecideIncremental(feedIncremental(inc, o))
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("period %d: diverged before the cut", period)
+			t.Fatalf("period %d: diverged", period)
 		}
 
 		if period == 2 {
@@ -129,9 +131,8 @@ func TestDecideIncrementalSurvivesSnapshotCut(t *testing.T) {
 }
 
 // TestDiscardPeriodMatchesWarmupSkip pins the warmup contract: periods
-// discarded unexamined by the incremental host must leave the manager in
-// the same state as a batch host that simply never handed those logs to
-// Decide.
+// discarded unexamined by a streaming host must leave the manager in the
+// same state as a manager that never saw those references.
 func TestDiscardPeriodMatchesWarmupSkip(t *testing.T) {
 	p := testParams()
 	batch, _ := NewManager(p)
@@ -145,9 +146,72 @@ func TestDiscardPeriodMatchesWarmupSkip(t *testing.T) {
 
 	o := zipfObservation(p, 3000, 1<<14, 4)
 	o = shiftObservation(o, warm.PeriodEnd)
-	want := batch.Decide(o)
+	want := decideChecked(t, batch, o)
 	got := inc.DecideIncremental(feedIncremental(inc, o))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("post-warmup decision diverges\nbatch: %+v\nincr:  %+v", want, got)
+	}
+}
+
+// TestDecideIsIngestBatchPlusDecideIncremental pins Decide's definition:
+// Decide(o) is exactly IngestBatch(o.Log) followed by
+// DecideIncremental(o). A twin driven through the two calls must match
+// decision for decision with the drift hold enabled (which Decide now
+// honours), references ingested before the Decide call must count
+// towards its period, and a SpanHook must see one ingest and one decide
+// span per Decide.
+func TestDecideIsIngestBatchPlusDecideIncremental(t *testing.T) {
+	p := testParams()
+	p.HysteresisFrac = 0.05
+	p.RefitDriftFrac = DefaultRefitDriftFrac
+	var spans []string
+	pHook := p
+	pHook.SpanHook = func(span string, ns int64) { spans = append(spans, span) }
+	whole, _ := NewManager(pHook)
+	split, _ := NewManager(p)
+
+	t0 := simtime.Seconds(0)
+	held := 0
+	for period := 0; period < 6; period++ {
+		// A stationary workload after the first two periods, so the drift
+		// hold engages.
+		seed := int64(period + 41)
+		if period >= 2 {
+			seed = 17
+		}
+		o := zipfObservation(p, 2500, 1<<14, seed)
+		o.CurrentBanks = whole.Last().Banks
+		o = shiftObservation(o, t0)
+		t0 = o.PeriodEnd
+
+		spans = spans[:0]
+		want := whole.Decide(o)
+		if len(spans) != 2 || spans[0] != SpanIngest || spans[1] != SpanDecide {
+			t.Fatalf("period %d: Decide reported spans %v, want [ingest decide]", period, spans)
+		}
+		// Half the period arrives before the boundary; Decide hands over
+		// the rest.
+		half := len(o.Log) / 2
+		split.IngestBatch(o.Log[:half])
+		rest := o
+		rest.Log = o.Log[half:]
+		var got Decision
+		if period%2 == 0 {
+			got = split.Decide(rest)
+		} else {
+			split.IngestBatch(rest.Log)
+			rest.Log = nil
+			got = split.DecideIncremental(rest)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("period %d: Decide and IngestBatch+DecideIncremental diverge\nwhole: %+v\nsplit: %+v",
+				period, want, got)
+		}
+		if period > 0 && want.Evaluated == 1 {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Fatal("the drift hold never engaged through Decide")
 	}
 }

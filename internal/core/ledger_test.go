@@ -85,11 +85,11 @@ func TestPricedLedgerFallback(t *testing.T) {
 	}
 }
 
-// TestSpanHook: the hook sees one decide span per boundary on both
-// paths and one ingest span per consumed period on the incremental
-// path; a nil hook takes no clock readings (compile-time property, but
-// the nil path must still decide identically — covered by the
-// equivalence suites).
+// TestSpanHook: the hook sees one ingest and one decide span per
+// boundary, whether the period arrives as a whole log through Decide or
+// streamed through Ingest; a nil hook takes no clock readings
+// (compile-time property, but the nil path must still decide identically
+// — covered by the equivalence suites).
 func TestSpanHook(t *testing.T) {
 	type span struct {
 		name string
@@ -102,8 +102,8 @@ func TestSpanHook(t *testing.T) {
 
 	obs := zipfObservation(p, 2000, 1<<12, 7)
 	m.Decide(obs)
-	if len(got) != 1 || got[0].name != SpanDecide || got[0].ns < 0 {
-		t.Fatalf("batch Decide spans = %v, want one %q", got, SpanDecide)
+	if len(got) != 2 || got[0].name != SpanIngest || got[1].name != SpanDecide || got[1].ns < 0 {
+		t.Fatalf("Decide spans = %v, want [%q %q]", got, SpanIngest, SpanDecide)
 	}
 
 	got = nil
@@ -117,7 +117,7 @@ func TestSpanHook(t *testing.T) {
 		PeriodEnd:      obs.PeriodEnd,
 	})
 	if len(got) != 2 || got[0].name != SpanIngest || got[1].name != SpanDecide {
-		t.Fatalf("incremental spans = %v, want [%q %q]", got, SpanIngest, SpanDecide)
+		t.Fatalf("streamed spans = %v, want [%q %q]", got, SpanIngest, SpanDecide)
 	}
 	if got[0].ns <= 0 {
 		t.Errorf("ingest span = %d ns, want > 0 after %d references", got[0].ns, len(obs.Log))

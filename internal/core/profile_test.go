@@ -130,7 +130,7 @@ func TestHysteresisHoldsForNoise(t *testing.T) {
 	// A mildly reusing workload where the optimum differs from 64 banks
 	// by less than 5% of total power (memory is micro-watts here).
 	log := synthLog(4*p.bankPages(), 2000, 0.3, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64})
+	d := decideChecked(t, m, Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64})
 	if d.Banks != 64 {
 		t.Errorf("hysteresis moved from 64 to %d for a marginal gain", d.Banks)
 	}

@@ -98,12 +98,12 @@ func TestRefillDampsOscillation(t *testing.T) {
 	}
 
 	cold := Observation{Log: log, CacheAccesses: 4000, CurrentBanks: 4}
-	withRefill := m.Decide(cold)
+	withRefill := decideChecked(t, m, cold)
 
 	m2, _ := NewManager(p)
 	noRefill := cold
 	noRefill.CurrentBanks = 0 // disables refill accounting
-	without := m2.Decide(noRefill)
+	without := decideChecked(t, m2, noRefill)
 
 	if withRefill.Banks > without.Banks {
 		t.Errorf("refill accounting grew memory more (%d) than without (%d)",

@@ -1,0 +1,321 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"jointpm/internal/lrusim"
+	"jointpm/internal/qmodel"
+	"jointpm/internal/simtime"
+)
+
+// This file is the replay oracle: an independent implementation of the
+// paper's per-candidate procedure (Fig. 3/4), kept only for tests. For
+// each candidate size it replays the whole period log through
+// lrusim.BoundedIdleIntervals, fits the Pareto model to the resulting
+// interval list, and prices the candidate from that list. Production
+// prices every slate through the streaming kernel (DepthHist → GapStream
+// → decideFrom) without ever materialising an interval list; the
+// differential tests hold the kernel to this oracle bit for bit.
+
+// finish turns the per-bucket tallies into prefix sums.
+func (p *depthProfile) finish() {
+	for b := 1; b < len(p.cumTotal); b++ {
+		p.cumTotal[b] += p.cumTotal[b-1]
+		p.cumFirst[b] += p.cumFirst[b-1]
+	}
+	for b := 1; b < len(p.cumCount); b++ {
+		p.cumCount[b] += p.cumCount[b-1]
+	}
+}
+
+func buildDepthProfile(log []lrusim.DepthRecord, bankPages int64, maxBanks int) *depthProfile {
+	p := &depthProfile{}
+	p.reset(maxBanks)
+	var seen pageSet
+	seen.init(len(log))
+	for i := range log {
+		r := &log[i]
+		if r.Depth == lrusim.Cold {
+			p.cold += r.Bytes
+			p.coldCount++
+			seen.add(r.Page)
+			continue
+		}
+		b := (int64(r.Depth)-1)/bankPages + 1 // depth within the first b banks
+		cb := b
+		if cb > int64(maxBanks) {
+			cb = int64(maxBanks)
+		}
+		p.cumTotal[cb] += r.Bytes
+		p.total += r.Bytes
+		if seen.add(r.Page) {
+			p.cumFirst[cb] += r.Bytes
+		}
+		if b > int64(maxBanks)+1 {
+			b = int64(maxBanks) + 1
+		}
+		p.cumCount[b]++
+		p.nonColdCount++
+	}
+	p.finish()
+	return p
+}
+
+// pageSet is an open-addressing set of page numbers for
+// buildDepthProfile's first-access detection. Page numbers are
+// non-negative (the lrusim convention), so -1 marks an empty slot; init
+// sizes for a ≤50% load factor.
+type pageSet struct {
+	slots []int64
+	shift uint
+}
+
+func (s *pageSet) init(n int) {
+	b := uint(4)
+	for 1<<b < 2*n {
+		b++
+	}
+	size := 1 << b
+	if cap(s.slots) >= size {
+		s.slots = s.slots[:size]
+	} else {
+		s.slots = make([]int64, size)
+	}
+	for i := range s.slots {
+		s.slots[i] = -1
+	}
+	s.shift = 64 - b
+}
+
+// add inserts page and reports whether it was absent.
+func (s *pageSet) add(page int64) bool {
+	// Fibonacci hashing spreads sequential page numbers across the table.
+	i := (uint64(page) * 0x9E3779B97F4A7C15) >> s.shift
+	mask := uint64(len(s.slots) - 1)
+	for {
+		v := s.slots[i]
+		if v == page {
+			return false
+		}
+		if v == -1 {
+			s.slots[i] = page
+			return true
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// evaluate prices one candidate size: replay the log at that size,
+// reconstruct idle intervals (including the period-boundary gaps), fit
+// the Pareto model to choose the timeout (eq. 5 with the eq. 6 floor),
+// and assemble the power estimate.
+//
+// The timeout is chosen from the Pareto model as the paper derives; the
+// candidate's power is then valued against the reconstructed intervals
+// themselves rather than the fitted tail. With the small per-period
+// interval counts a server sees at well-chosen memory sizes, the fitted
+// tail's extrapolated off-time is far noisier than the intervals it was
+// fitted from; valuing empirically keeps the size comparison honest while
+// the closed-form optimum still sets the timeout. DiskPMPowerModel in
+// this package exposes the pure eq. 4 valuation for analysis.
+func (m *Manager) evaluate(obs Observation, banks int, prof *depthProfile) Candidate {
+	if prof == nil {
+		prof = buildDepthProfile(obs.Log, m.p.bankPages(), m.p.TotalBanks)
+	}
+	start, end := m.bounds(obs)
+	intervals, nd := lrusim.BoundedIdleIntervals(obs.Log, int64(banks)*m.p.bankPages(), m.p.Window, start, end)
+	return m.price(obs, banks, prof, intervals, nd)
+}
+
+// price does the per-candidate valuation — Pareto fit, timeout choice,
+// M/G/1 wait, utilization test, and energy pricing — given the idle
+// intervals and disk-access count reconstructed for this size.
+func (m *Manager) price(obs Observation, banks int, prof *depthProfile, intervals []float64, nd int64) Candidate {
+	p := m.p
+	if obs.CoalesceFactor < 1 {
+		obs.CoalesceFactor = 1
+	}
+	pages := int64(banks) * p.bankPages()
+	c := Candidate{Banks: banks, Pages: pages}
+	c.DiskAccesses = nd
+	c.IdleCount = len(intervals)
+	c.MissBytes = prof.missBytes(banks)
+	// Refill band: distinct pages the stack model counts as hits but that
+	// the real cache, currently holding only CurrentBanks banks, must
+	// re-fetch once while re-populating the grown region.
+	c.RefillBytes = prof.refillBytes(obs.CurrentBanks, banks)
+
+	// Normalise rates over the observed span: the period length, or the
+	// idle time actually covered by the log when it extends further (as
+	// offline analyses over multi-period logs do).
+	T := float64(p.Period)
+	var covered float64
+	for _, l := range intervals {
+		covered += l
+	}
+	if covered > T {
+		T = covered
+	}
+	spec := p.DiskSpec
+	pd := float64(spec.StaticPower())
+	tbe := float64(spec.BreakEven())
+
+	// Disk dynamic power from predicted busy time. Seek/rotation costs are
+	// paid per coalesced request, calibrated by the observed coalescing.
+	// The refill cost of growing is a one-time transient: it is charged to
+	// the energy estimate amortized over a few periods (so oscillating
+	// does not look free), but NOT to the utilization feasibility test —
+	// gating growth on a one-period burst would trap the manager at a
+	// small size forever.
+	requests := float64(nd) / obs.CoalesceFactor
+	busy := requests*float64(spec.SeekTime+spec.RotationalLatency) +
+		float64(c.MissBytes)/spec.TransferRate
+	c.Utilization = busy / T
+	if requests > 0 {
+		es := busy / requests
+		// SCV 1 (exponential-like service) is a conservative default for
+		// the mixed request sizes the cache emits.
+		if w, err := qmodel.MG1WaitSCV(requests/T, es, 1); err == nil {
+			c.PredictedWait = simtime.Seconds(w)
+		} else {
+			c.PredictedWait = simtime.Seconds(math.Inf(1))
+		}
+	}
+	refillPages := float64(c.RefillBytes) / float64(p.PageSize)
+	refillBusy := (refillPages/obs.CoalesceFactor)*float64(spec.SeekTime+spec.RotationalLatency) +
+		float64(c.RefillBytes)/spec.TransferRate
+	c.DiskDynPower = simtime.Watts((busy + refillBusy/refillAmortizePeriods) / T * float64(spec.DynamicPower()))
+
+	// Choose the timeout: t_o = α·t_be from the Pareto fit (eq. 5) under
+	// the eq. 6 floor, then value it against the observed intervals;
+	// spinning down must beat staying on or it is disabled.
+	tc := m.ChooseTimeout(intervals, nd, obs.CacheAccesses, T)
+	c.Fit = tc.Fit
+	c.FitOK = tc.FitOK
+	c.TimeoutFloor = tc.Floor
+	c.FloorClamped = tc.Clamped
+	c.SpanS = simtime.Seconds(T)
+	c.Timeout = simtime.Seconds(math.Inf(1))
+	c.DiskPMPower = simtime.Watts(pd) // always-on default
+	ts, h := empiricalPMStats(intervals, float64(tc.Timeout))
+	tailTS := ts // unclamped standby seconds, kept for the speed refinement
+	if ts > T {
+		ts = T
+	}
+	pm := pd*(T-ts)/T + pd*tbe*float64(h)/T
+	if pm < pd {
+		c.Timeout = tc.Timeout
+		c.DiskPMPower = simtime.Watts(pm)
+		c.SpinUps = int64(h)
+		c.StandbyS = simtime.Seconds(ts)
+	} else {
+		m.met.spinDisabled.Inc()
+		// Attribute the loss: if spin-down at the unconstrained
+		// t_o = α·t_be would have won, the delay cap D is what priced
+		// this candidate out of sleeping. The check re-walks the
+		// intervals, so it only runs while the counter is live.
+		if m.met.rejectedDelay != nil && delayCapCostSpinDown(intervals, tc, T, pd, tbe) {
+			m.met.rejectedDelay.Inc()
+		}
+	}
+
+	// Memory static power of the enabled banks (joint keeps them in nap).
+	c.MemPower = p.MemSpec.NapPower() * simtime.Watts(banks)
+
+	c.TotalPower = c.DiskPMPower + c.DiskDynPower + c.MemPower
+	c.Feasible = c.Utilization <= p.UtilCap
+	// A candidate whose pricing degenerated to NaN/Inf — a hostile trace
+	// segment, a poisoned coalesce factor — must never win on a garbage
+	// comparison: an Inf utilization already fails the cap above, but a
+	// NaN power would sort unpredictably through better().
+	if math.IsNaN(c.Utilization) || math.IsInf(c.Utilization, 0) ||
+		math.IsNaN(float64(c.TotalPower)) || math.IsInf(float64(c.TotalPower), 0) ||
+		math.IsNaN(float64(c.Timeout)) {
+		c.Feasible = false
+		m.met.nonFinite.Inc()
+	}
+	m.applyBudget(&c)
+	m.met.candidates.Inc()
+	if !c.Feasible {
+		m.met.rejectedUtil.Inc()
+	}
+	// Speed refinement: re-price this size at every other ladder level and
+	// keep the cheapest (see speed.go). Absent a multi-level ladder this
+	// is a single branch and the candidate above is returned untouched.
+	if m.speedEnabled() {
+		c = m.refineReplayLevels(c, intervals, tc, requests,
+			refillPages/obs.CoalesceFactor, T, tailTS, int64(h))
+	}
+	return c
+}
+
+// refineReplayLevels is the oracle's counterpart of refineSlateLevels:
+// the same per-level valuation fed from empiricalPMStats' chronological
+// interval fold, so the oracle and the kernel stay bit-identical with the
+// speed slate enabled just as they are without it. tailTS/tailH are the
+// level-0 fold results price already computed.
+func (m *Manager) refineReplayLevels(c Candidate, intervals []float64, tc TimeoutChoice, requests, refillReqs, T, tailTS float64, tailH int64) Candidate {
+	cur := m.curLevel()
+	if cur != 0 {
+		c = m.priceLevel(c, 0, cur, requests, refillReqs, T, tc, tailTS, tailH)
+	}
+	for lvl := 1; lvl < len(m.p.SpeedLevels); lvl++ {
+		pd := float64(m.p.SpeedLevels[lvl].IdlePower) - float64(m.p.DiskSpec.StandbyPower)
+		tbe := float64(m.p.DiskSpec.TransitionEnergy) / pd
+		tcl := m.timeoutAtLevel(tc, tbe)
+		ts, h := empiricalPMStats(intervals, float64(tcl.Timeout))
+		cl := m.priceLevel(c, lvl, cur, requests, refillReqs, T, tcl, ts, int64(h))
+		if m.betterLevel(cl, c) {
+			c = cl
+		}
+	}
+	return c
+}
+
+// delayCapCostSpinDown reports whether the eq. 6 floor is what priced
+// this candidate out of spinning down: spin-down at the floored timeout
+// loses to staying on, but at the unclamped t_o = α·t_be it would have
+// won. Only called when the rejected_delay counter is live — it costs a
+// second pass over the intervals.
+func delayCapCostSpinDown(intervals []float64, tc TimeoutChoice, T, pd, tbe float64) bool {
+	if !tc.Clamped {
+		return false
+	}
+	return empiricalPMPower(intervals, float64(tc.Unclamped), T, pd, tbe) < pd
+}
+
+// replayTwin returns a manager that prices candidates exactly as m would
+// in its current state: the same parameters, the same previous decision
+// (the speed refinement prices level transitions from it) and the same
+// power budget. Its metrics are detached, so oracle pricing never moves
+// m's counters.
+func replayTwin(m *Manager) *Manager {
+	p := m.p
+	p.Metrics, p.DecisionTrace, p.SpanHook = nil, nil, nil
+	return &Manager{p: p, last: m.last, budgetW: m.budgetW}
+}
+
+// checkReplay holds every candidate of d, decided from o by a manager
+// whose pre-decision state twin captured, to the replay oracle.
+func checkReplay(t *testing.T, twin *Manager, o Observation, d Decision) {
+	t.Helper()
+	prof := buildDepthProfile(o.Log, twin.p.bankPages(), twin.p.TotalBanks)
+	for _, c := range d.Candidates {
+		if want := twin.evaluate(o, c.Banks, prof); !reflect.DeepEqual(c, want) {
+			t.Fatalf("%d banks: kernel candidate differs from the replay oracle\nkernel: %+v\nreplay: %+v",
+				c.Banks, c, want)
+		}
+	}
+}
+
+// decideChecked is m.Decide(o) with every priced candidate held to the
+// replay oracle.
+func decideChecked(t *testing.T, m *Manager, o Observation) Decision {
+	t.Helper()
+	twin := replayTwin(m)
+	d := m.Decide(o)
+	checkReplay(t, twin, o, d)
+	return d
+}

@@ -23,11 +23,12 @@ func speedParams(levels int) Params {
 	return p
 }
 
-// TestSpeedSingleLevelBitIdentical is the ISSUE's bit-identity contract
-// at the manager level: a one-level ladder must decide exactly like a
-// build with no ladder, period after period, on both decide modes — the
-// speed refinement must not run at all, so even carried state (hysteresis
-// reference, last decision) stays byte-equal.
+// TestSpeedSingleLevelBitIdentical is the bit-identity contract at the
+// manager level: a one-level ladder must decide exactly like a build with
+// no ladder, period after period, whether the period arrives as a whole
+// log ("batch", through Decide) or streamed record by record
+// ("incremental") — the speed refinement must not run at all, so even
+// carried state (hysteresis reference, last decision) stays byte-equal.
 func TestSpeedSingleLevelBitIdentical(t *testing.T) {
 	for _, mode := range []string{"batch", "incremental"} {
 		t.Run(mode, func(t *testing.T) {
@@ -69,20 +70,17 @@ func TestSpeedSingleLevelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSpeedDecidePathsAgree pins the three decision kernels against each
-// other with the speed slate enabled: the multi-threshold sweep, the
-// retained sequential replay, and the incremental streaming path must
-// produce bit-identical (m, t_o, level) decisions — the speed refinement
-// has a per-kernel implementation (refineSlateLevels/refineReplayLevels)
-// and this is the proof they price identically.
+// TestSpeedDecidePathsAgree pins the decision paths against each other
+// with the four-level speed slate enabled: whole-log Decide, per-record
+// streaming, and the replay oracle must produce bit-identical
+// (m, t_o, level) pricings — the speed refinement has a kernel
+// implementation (refineSlateLevels) and an oracle one
+// (refineReplayLevels), and this is the proof they price identically.
 func TestSpeedDecidePathsAgree(t *testing.T) {
 	p := speedParams(4)
 	p.HysteresisFrac = 0.05
-	pSeq := p
-	pSeq.SequentialReplay = true
 
 	sweep, _ := NewManager(p)
-	seq, _ := NewManager(pSeq)
 	inc, _ := NewManager(p)
 
 	t0 := simtime.Seconds(0)
@@ -93,13 +91,8 @@ func TestSpeedDecidePathsAgree(t *testing.T) {
 		o = shiftObservation(o, t0)
 		t0 = o.PeriodEnd
 
-		dSweep := sweep.Decide(o)
-		dSeq := seq.Decide(o)
+		dSweep := decideChecked(t, sweep, o)
 		dInc := inc.DecideIncremental(feedIncremental(inc, o))
-		if !reflect.DeepEqual(dSweep, dSeq) {
-			t.Fatalf("period %d: sweep vs sequential replay diverged\nsweep: %+v\nseq:   %+v",
-				period, dSweep, dSeq)
-		}
 		if !reflect.DeepEqual(dSweep, dInc) {
 			t.Fatalf("period %d: sweep vs incremental diverged\nsweep: %+v\nincr:  %+v",
 				period, dSweep, dInc)
@@ -125,8 +118,8 @@ func TestSpeedPrefersSlowerLevelOnShortGaps(t *testing.T) {
 	multi, _ := NewManager(pMulti)
 
 	o := zipfObservation(pSingle, 4000, 1<<12, 3)
-	dS := single.Decide(o)
-	dM := multi.Decide(o)
+	dS := decideChecked(t, single, o)
+	dM := decideChecked(t, multi, o)
 
 	if !math.IsInf(float64(dS.Timeout), 1) {
 		t.Fatalf("short-gap workload spun down anyway (t_o=%v); scenario broken", dS.Timeout)

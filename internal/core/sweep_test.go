@@ -36,10 +36,12 @@ func zipfObservation(p Params, refs int, universe int, seed int64) Observation {
 	}
 }
 
-// TestDecideSweepMatchesReplay is the Decide-level equivalence property:
-// the multi-threshold sweep with parallel pricing must produce decisions
-// bit-identical to the retained per-size sequential replay path, across
-// randomized observations, with and without hysteresis/refill accounting.
+// TestDecideSweepMatchesReplay is the Decide-level oracle property: every
+// candidate the slate kernel prices during a full decision — all
+// refinement passes and the hysteresis probe — must be bit-identical to
+// the replay oracle's per-size log replay, across randomized
+// observations, with and without hysteresis/refill accounting. Since the
+// search itself only compares candidates, this pins the whole decision.
 func TestDecideSweepMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := testParams()
@@ -50,61 +52,49 @@ func TestDecideSweepMatchesReplay(t *testing.T) {
 		if seed%2 == 0 {
 			obs.CurrentBanks = 16
 		}
-
-		swept, _ := NewManager(p)
-		pRef := p
-		pRef.SequentialReplay = true
-		replayed, _ := NewManager(pRef)
-
-		dSwept := swept.Decide(obs)
-		dReplayed := replayed.Decide(obs)
-		if !reflect.DeepEqual(dSwept, dReplayed) {
-			t.Errorf("seed %d: sweep and replay decisions differ:\nsweep:  %+v\nreplay: %+v",
-				seed, dSwept, dReplayed)
+		m, _ := NewManager(p)
+		if d := decideChecked(t, m, obs); len(d.Candidates) < 2 {
+			t.Fatalf("seed %d: decision priced only %d candidates", seed, len(d.Candidates))
 		}
 	}
 }
 
-// TestEvaluateSlateMatchesEvaluate checks the slate evaluation against
-// per-candidate evaluate for arbitrary (including non-grid) slates.
+// TestEvaluateSlateMatchesEvaluate checks the slate kernel (evalSlate
+// over the ingested gap log) against per-candidate replay for arbitrary —
+// including non-grid, single-entry and empty — slates, and for every
+// size at once. Pricing a slate must not consume the ingested period.
 func TestEvaluateSlateMatchesEvaluate(t *testing.T) {
 	p := testParams()
 	m, _ := NewManager(p)
 	obs := zipfObservation(p, 3000, 1<<11, 7)
+	m.IngestBatch(obs.Log)
+	in := m.inputFromHist(&obs)
+	twin := replayTwin(m)
 	prof := buildDepthProfile(obs.Log, p.bankPages(), p.TotalBanks)
 	rng := rand.New(rand.NewSource(9))
+	var slates [][]int
 	for trial := 0; trial < 5; trial++ {
 		slate := []int{1 + rng.Intn(4)}
 		for len(slate) < 2+rng.Intn(10) {
 			slate = append(slate, slate[len(slate)-1]+1+rng.Intn(6))
 		}
-		got := m.evaluateSlate(obs, slate, prof)
+		slates = append(slates, slate)
+	}
+	all := make([]int, 0, p.TotalBanks)
+	for b := p.MinBanks; b <= p.TotalBanks; b++ {
+		all = append(all, b)
+	}
+	slates = append(slates, nil, []int{5}, all)
+	for _, slate := range slates {
+		got := make([]Candidate, len(slate))
+		m.evalSlate(in, slate, got)
 		for i, b := range slate {
-			want := m.evaluate(obs, b, prof)
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("trial %d slate %v bank %d: slate candidate %+v != evaluate %+v",
-					trial, slate, b, got[i], want)
+			if want := twin.evaluate(obs, b, prof); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("slate %v bank %d: slate candidate %+v != replay %+v", slate, b, got[i], want)
 			}
 		}
 	}
-}
-
-// TestEvaluateSlateWorkerBounds covers the serial (EvalWorkers=1) and
-// degenerate slate shapes.
-func TestEvaluateSlateWorkerBounds(t *testing.T) {
-	p := testParams()
-	p.EvalWorkers = 1
-	m, _ := NewManager(p)
-	obs := zipfObservation(p, 1000, 1<<10, 3)
-	if got := m.evaluateSlate(obs, nil, nil); len(got) != 0 {
-		t.Errorf("empty slate returned %d candidates", len(got))
-	}
-	got := m.evaluateSlate(obs, []int{1, 5, 9}, nil)
-	if len(got) != 3 || got[1].Banks != 5 {
-		t.Fatalf("serial slate mispriced: %+v", got)
-	}
-	want := m.evaluate(obs, 5, nil)
-	if !reflect.DeepEqual(got[1], want) {
-		t.Errorf("serial slate candidate differs from evaluate")
+	if m.Hist().Refs() != int64(len(obs.Log)) {
+		t.Fatalf("slate pricing consumed the ingested period")
 	}
 }

@@ -2,19 +2,19 @@ package fault
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"jointpm/internal/core"
+	"jointpm/internal/sim"
 )
 
-// TestIncrementalModeMatchesBatchUnderFaults extends the incremental-
-// Decide equivalence proof into the degradation ladder: every checked-in
-// fault plan, under several seeds, must produce bit-identical results in
-// batch and incremental observation mode. Faulted runs reach the decision
+// TestIncrementalModeMatchesBatchUnderFaults extends the decision-path
+// proof into the degradation ladder: under every checked-in fault plan
+// and several seeds, the engine's streamed decisions must match, journal
+// byte for journal byte, a manager handed each period's whole depth log
+// through Decide (sim.VerifyDecisions). Faulted runs reach the decision
 // paths a clean trace never does — degenerate fits, fallback decisions,
-// failed banks shrinking the candidate slate — so this pins the
-// equivalence precisely where the two paths would be easiest to break.
+// failed banks making the applied size differ from the decided one — so
+// this pins the streamed observation where it would be easiest to break.
 func TestIncrementalModeMatchesBatchUnderFaults(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "faults", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -33,23 +33,14 @@ func TestIncrementalModeMatchesBatchUnderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seed := range seeds {
-				batchCfg := *base
-				batch, err := CheckRun(batchCfg, plan, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				incCfg := *base
-				incCfg.Decide = core.ModeIncremental
-				inc, err := CheckRun(incCfg, plan, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch.Result, inc.Result) {
-					t.Errorf("seed %d: incremental result diverges from batch under faults", seed)
-				}
-				if len(batch.Violations) != len(inc.Violations) {
-					t.Errorf("seed %d: violation counts diverge: %d batch, %d incremental",
-						seed, len(batch.Violations), len(inc.Violations))
+				plan.Seed = seed
+				inj := NewInjector(plan, base.Period, nil)
+				cfg := *base
+				cfg.Trace = inj.ApplyTrace(cfg.Trace)
+				cfg.DiskFaults = inj
+				cfg.MemFaults = inj
+				if _, err := sim.VerifyDecisions(cfg); err != nil {
+					t.Errorf("seed %d: %v", seed, err)
 				}
 			}
 		})

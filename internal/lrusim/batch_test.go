@@ -33,7 +33,7 @@ func captureHist(h *DepthHist, start, end simtime.Seconds) histState {
 		countPfx:  h.AppendCountPrefix(nil),
 		totPfx:    h.AppendTotalPrefix(nil),
 		fPfx:      h.AppendFirstPrefix(nil),
-		events:    append([]SweepEvent(nil), h.Events()...),
+		events:    append([]SweepEvent(nil), h.events...),
 		gaps:      append([]Emission(nil), h.FinishGaps(start, end)...),
 	}
 }

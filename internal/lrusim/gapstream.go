@@ -7,15 +7,14 @@ import (
 )
 
 // GapStream maintains the slate-independent form of the idle-interval
-// sweep incrementally, one event at a time. Where EventSweeper.Sweep
-// reconstructs intervals for one candidate slate, GapStream runs the same
-// segment-stack algorithm over the full threshold axis 0..maxBanks — each
-// emission's [Lo, Hi) is a range of bank thresholds, not slate indices —
-// so the resulting gap log prices EVERY slate: a candidate of B banks is
+// sweep incrementally, one event at a time. It runs a segment-stack
+// sweep over the full threshold axis 0..maxBanks — each emission's
+// [Lo, Hi) is a range of bank thresholds, not slate indices — so the
+// resulting gap log prices EVERY slate: a candidate of B banks is
 // covered by exactly the emissions with Lo ≤ B < Hi, and its covered
 // gaps, in log order, are bit-identical in value and order to the
-// interval stream a sequential replay (or a slate sweep) would produce
-// for it. That holds because a threshold's idle intervals depend only on
+// interval stream a sequential replay (BoundedIdleIntervals) would
+// produce for it. That holds because a threshold's idle intervals depend only on
 // the events deeper than the threshold itself, never on which other
 // thresholds share the slate.
 //
@@ -74,9 +73,7 @@ func (g *GapStream) Reset(window simtime.Seconds, maxBanks int) {
 }
 
 // Feed folds one finalized event into the sweep. Events must arrive in
-// time order and already deduplicated (see DepthHist.push) — feeding must
-// mirror the event stream the batch path builds, so the logs agree
-// structurally, not just per candidate.
+// time order and already deduplicated (see DepthHist.push).
 func (g *GapStream) Feed(e SweepEvent) {
 	one := [1]SweepEvent{e}
 	g.FeedBatch(one[:]) // FeedBatch only reads evs, so the array stays on the stack
@@ -125,14 +122,10 @@ func (g *GapStream) FeedBatch(evs []SweepEvent) {
 	g.emits, g.seeds = emits, seeds
 }
 
-// Len reports how many events' worth of emissions have accumulated (for
-// snapshot validation and tests).
-func (g *GapStream) Len() int { return len(g.emits) }
-
 // Finish resolves the boundary-dependent emissions and returns the
 // complete gap log for the period. start and end follow the
-// BoundedIdleIntervals convention: negative means "no bound", matching a
-// batch sweep run without a seed segment or end phase. Placeholders that
+// BoundedIdleIntervals convention: negative means "no bound" (no
+// period-start seed, no end phase). Placeholders that
 // resolve to a dropped gap (below the window, or no period start) are
 // neutralised to an empty [0, 0) range, which every downstream fold
 // ignores. The returned slice is owned by the stream and invalidated by
@@ -159,8 +152,7 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 			hi := g.segHi[j]
 			if hi == gapSentinel {
 				// The seed covers the thresholds no event ever reached;
-				// without a period start there is no seed (the batch
-				// sweep would not have pushed one).
+				// without a period start there is no seed.
 				if start < 0 {
 					break
 				}
@@ -179,16 +171,4 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 		}
 	}
 	return g.emits
-}
-
-// BuildGapLog runs the complete bank-space sweep over a finished event
-// stream in one call: the batch path's way of materialising the same gap
-// log an incrementally fed GapStream holds at period close. Using one
-// implementation for both modes makes the logs identical by construction.
-func BuildGapLog(g *GapStream, events []SweepEvent, maxBanks int, window, start, end simtime.Seconds) []Emission {
-	g.Reset(window, maxBanks)
-	for i := range events {
-		g.Feed(events[i])
-	}
-	return g.Finish(start, end)
 }

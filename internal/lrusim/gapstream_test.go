@@ -57,94 +57,59 @@ func randSlate(rng *rand.Rand, maxBanks, kmax int) []int32 {
 	return slate
 }
 
-// TestSweepGapsMatchesSweep is the kernel-level half of the
-// incremental/batch equivalence: pricing a slate from the bank-space gap
-// log (GapStream + remapped fold, the incremental decide path) must be
-// bit-identical — Cnt, Sum, Min, and a TailStats pass — to a dedicated
-// slate sweep of the same events. Exercised across window/bound
-// configurations, including window 0 (zero-length gaps emitted) and
-// missing period bounds.
-func TestSweepGapsMatchesSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var gs GapStream
-	var ref, got EventSweeper
-	for trial := 0; trial < 200; trial++ {
-		maxBanks := 4 + rng.Intn(60)
-		window := simtime.Seconds(0)
-		dupT := trial%3 == 0
-		if !dupT {
-			window = simtime.Seconds(rng.Float64() * 0.4)
-		}
-		start, end := simtime.Seconds(-1), simtime.Seconds(-1)
-		if trial%4 != 1 {
-			start = 0
-			end = simtime.Seconds(600)
-		}
-		ev := randEvents(rng, rng.Intn(400), maxBanks, 0, dupT)
-		gaps := BuildGapLog(&gs, ev, maxBanks, window, start, end)
-		for pass := 0; pass < 3; pass++ {
-			kmax := 32
-			if pass == 2 {
-				kmax = 80 // wide slates take the blocked kernel form
-			}
-			slate := randSlate(rng, maxBanks, kmax)
-			k := len(slate)
-			ref.Sweep(ev, slate, int32(maxBanks), window, start, end)
-			got.SweepGaps(gaps, slate, int32(maxBanks))
-			for i := 0; i < k; i++ {
-				if ref.Cnt[i] != got.Cnt[i] ||
-					math.Float64bits(ref.Sum[i]) != math.Float64bits(got.Sum[i]) ||
-					math.Float64bits(ref.Min[i]) != math.Float64bits(got.Min[i]) {
-					t.Fatalf("trial %d slate[%d]=%d: sweep (%d, %v, %v) vs gaps (%d, %v, %v)",
-						trial, i, slate[i], ref.Cnt[i], ref.Sum[i], ref.Min[i],
-						got.Cnt[i], got.Sum[i], got.Min[i])
-				}
-			}
-			kk := (k + 31) &^ 31
-			to := make([]float64, k, kk)
-			ts1 := make([]float64, k, kk)
-			h1 := make([]int64, k, kk)
-			ts2 := make([]float64, k, kk)
-			h2 := make([]int64, k, kk)
-			for i := range to {
-				to[i] = rng.Float64() * 0.5
-				if rng.Intn(8) == 0 {
-					to[i] = math.Inf(1)
-				}
-			}
-			ref.TailStats(to, ts1, h1)
-			got.TailStats(to, ts2, h2)
-			for i := 0; i < k; i++ {
-				if math.Float64bits(ts1[i]) != math.Float64bits(ts2[i]) || h1[i] != h2[i] {
-					t.Fatalf("trial %d tail[%d]: sweep (%v, %d) vs gaps (%v, %d)",
-						trial, i, ts1[i], h1[i], ts2[i], h2[i])
-				}
-			}
-		}
-	}
+// buildGapLog runs the complete bank-space sweep over a finished event
+// stream in one call.
+func buildGapLog(g *GapStream, events []SweepEvent, maxBanks int, window, start, end simtime.Seconds) []Emission {
+	g.Reset(window, maxBanks)
+	g.FeedBatch(events)
+	return g.Finish(start, end)
 }
 
-// TestGapStreamIncrementalMatchesBatch checks that feeding events one at
-// a time (with the straggler finishing late, as DepthHist does) yields
-// the same log as the one-shot BuildGapLog, and that Finish is idempotent.
+// TestGapStreamIncrementalMatchesBatch checks the gap log's contract
+// against the per-candidate replay: for every threshold B on the bank
+// axis, the emissions covering B (Lo ≤ B < Hi), in log order, are exactly
+// the interval list BoundedIdleIntervals replays from the whole log at a
+// capacity of B banks — the log a DepthHist streams record by record
+// (with the straggler fed late) holds every candidate's intervals at
+// once. Finish must be idempotent.
 func TestGapStreamIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var batch, inc GapStream
 	for trial := 0; trial < 100; trial++ {
+		bankPages := int64(1 + rng.Intn(4))
 		maxBanks := 4 + rng.Intn(40)
 		window := simtime.Seconds(rng.Float64() * 0.3)
-		ev := randEvents(rng, rng.Intn(300), maxBanks, 0, true)
-		start, end := simtime.Seconds(0), simtime.Seconds(500)
-		want := BuildGapLog(&batch, ev, maxBanks, window, start, end)
-
-		inc.Reset(window, maxBanks)
-		for i := range ev {
-			inc.Feed(ev[i])
+		if trial%3 == 0 {
+			window = 0
 		}
-		got := inc.Finish(start, end)
-		compareLogs(t, trial, want, got)
-		got = inc.Finish(start, end) // idempotent
-		compareLogs(t, trial, want, got)
+		start, end := simtime.Seconds(0), simtime.Seconds(500)
+		if trial%4 == 1 {
+			start, end = -1, -1
+		}
+		log := randPeriodLog(rng, bankPages, maxBanks)
+		h := NewDepthHist(bankPages, maxBanks, 0, window)
+		for _, r := range log {
+			h.Observe(r)
+		}
+		gaps := h.FinishGaps(start, end)
+		for b := 0; b <= maxBanks; b++ {
+			want, _ := BoundedIdleIntervals(log, int64(b)*bankPages, window, start, end)
+			var got []float64
+			for _, e := range gaps {
+				if e.Lo <= int32(b) && int32(b) < e.Hi {
+					got = append(got, e.Gap)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d, %d banks: %d gaps, replay has %d", trial, b, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d, %d banks, gap %d: %v, replay %v", trial, b, i, got[i], want[i])
+				}
+			}
+		}
+		again := append([]Emission(nil), gaps...)
+		compareLogs(t, trial, again, h.FinishGaps(start, end)) // idempotent
 	}
 }
 
@@ -175,7 +140,7 @@ func TestSweepGapsGenericMatchesAsm(t *testing.T) {
 		maxBanks := 4 + rng.Intn(80)
 		window := simtime.Seconds(rng.Float64() * 0.2)
 		ev := randEvents(rng, rng.Intn(500), maxBanks, 0, true)
-		gaps := BuildGapLog(&gs, ev, maxBanks, window, 0, 400)
+		gaps := buildGapLog(&gs, ev, maxBanks, window, 0, 400)
 		kmax := 32
 		if trial%2 == 1 {
 			kmax = 80

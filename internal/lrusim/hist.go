@@ -10,11 +10,12 @@ import (
 // This file is the streaming half of the stack-distance machinery: a
 // Fenwick-backed depth histogram maintained reference-by-reference, plus
 // the compressed event stream and the slate sweeper that run the joint
-// manager's incremental Decide path. The invariant the whole file serves:
-// feeding every DepthRecord of a period into a DepthHist and then sweeping
-// its event stream must reproduce, bit for bit, what the batch path
-// computes from the full []DepthRecord log (see the differential tests in
-// hist_test.go and internal/core).
+// manager's decision path. The invariant the whole file serves: feeding
+// every DepthRecord of a period into a DepthHist and then pricing a slate
+// from its gap log must reproduce, bit for bit, what replaying the full
+// []DepthRecord log once per candidate (BoundedIdleIntervals) computes
+// (see the differential tests in hist_test.go, gapstream_test.go and
+// internal/core).
 
 // SweepEvent is one compressed entry of a period's miss-relevant event
 // stream: the reference time and the bank-granular stack depth
@@ -41,14 +42,15 @@ type SweepEvent struct {
 // downstream result:
 //
 //   - references at or below minKeep banks are dropped: the shallowest
-//     candidate the manager ever prices is MinBanks, and the batch sweep
-//     skips such references too (their miss bound is zero);
+//     candidate the manager ever prices is MinBanks, and such references
+//     hit at every candidate (their miss bound is zero);
 //   - when dedup is set (aggregation window > 0), events sharing a
 //     timestamp collapse to the deepest: for interval reconstruction a
 //     same-time shallower event only splits a segment into parts carrying
 //     the same time, emitting nothing but zero-length gaps the window
-//     filter discards. With window == 0 those zero gaps ARE emitted by the
-//     batch path, so dedup must stay off to remain bit-identical.
+//     filter discards. With window == 0 those zero gaps ARE emitted by a
+//     per-candidate replay, so dedup must stay off to remain
+//     bit-identical.
 //
 // The zero value is unusable; construct with NewDepthHist. Reset clears
 // the period while keeping every buffer's capacity, so a warm manager
@@ -94,8 +96,8 @@ type DepthHist struct {
 // the histograms); window is the idle-interval aggregation window, which
 // both filters the streaming gap log and (when positive) enables
 // same-timestamp event compression. With window == 0 zero-length gaps ARE
-// emitted by the batch path, so compression must stay off to remain
-// bit-identical — the histogram derives that itself.
+// emitted by a per-candidate replay, so compression must stay off to
+// remain bit-identical — the histogram derives that itself.
 func NewDepthHist(bankPages int64, maxBanks, minKeepBanks int, window simtime.Seconds) *DepthHist {
 	if bankPages <= 0 || maxBanks < 1 {
 		panic("lrusim: bad DepthHist geometry")
@@ -258,7 +260,8 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 			}
 			pushBank = int32(kb)
 		}
-		// pushDeferred, inlined against the local slice header.
+		// push without the gap feed, inlined against the local slice
+		// header; the finalized span is fed after the block.
 		if dedup {
 			if n := len(events); n > 0 && events[n-1].T == r.Time {
 				if pushBank > events[n-1].Bank {
@@ -291,20 +294,6 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 	}
 }
 
-// pushDeferred is push without the behind-by-one gap feed: ObserveBatch
-// feeds the finalized span in one FeedBatch call after the block.
-func (h *DepthHist) pushDeferred(t simtime.Seconds, bank int32) {
-	if h.dedup {
-		if n := len(h.events); n > 0 && h.events[n-1].T == t {
-			if bank > h.events[n-1].Bank {
-				h.events[n-1].Bank = bank
-			}
-			return
-		}
-	}
-	h.events = append(h.events, SweepEvent{T: t, Bank: bank})
-}
-
 func (h *DepthHist) push(t simtime.Seconds, bank int32) {
 	if h.dedup {
 		if n := len(h.events); n > 0 && h.events[n-1].T == t {
@@ -328,10 +317,6 @@ func (h *DepthHist) Refs() int64 { return h.refs }
 
 // MaxDepth returns the deepest non-cold stack depth observed, in pages.
 func (h *DepthHist) MaxDepth() int64 { return h.maxDepth }
-
-// Events returns the compressed event stream. The slice is owned by the
-// histogram and is invalidated by Reset.
-func (h *DepthHist) Events() []SweepEvent { return h.events }
 
 // Cold returns the cold-reference count and bytes.
 func (h *DepthHist) Cold() (count int64, bytes simtime.Bytes) {
@@ -403,12 +388,6 @@ func (h *DepthHist) FinishGaps(start, end simtime.Seconds) []Emission {
 		h.gaps.Feed(h.events[len(h.events)-1])
 	}
 	return h.gaps.Finish(start, end)
-}
-
-// Counters summarises the period for snapshot validation: references,
-// cold misses, retained events, and max depth.
-func (h *DepthHist) Counters() (refs, colds, events, maxDepth int64) {
-	return h.refs, h.coldCount, int64(len(h.events)), h.maxDepth
 }
 
 // Reset clears the period's state, retaining all buffer capacity.
@@ -547,16 +526,12 @@ type Emission struct {
 }
 
 // EventSweeper reconstructs idle-interval statistics for an ascending
-// candidate slate from a compressed SweepEvent stream: the incremental
-// counterpart of Sweeper, with the per-candidate interval lists replaced
-// by streaming reductions (count, sum, min — everything a Pareto moment
-// fit needs) plus a shared emission log for later conditional passes
-// (timeout valuation). All buffers are reused across calls; returned
-// slices are invalidated by the next Sweep.
+// candidate slate from a bank-space gap log (see GapStream): instead of
+// per-candidate interval lists it keeps streaming reductions (count, sum,
+// min — everything a Pareto moment fit needs) plus the emission log for
+// later conditional passes (timeout valuation). All buffers are reused
+// across calls; returned slices are invalidated by the next SweepGaps.
 type EventSweeper struct {
-	segT  []simtime.Seconds
-	segHi []int32
-
 	bound   []int32 // bound[bank]: slate candidates a reference at that bank depth misses
 	cntDiff []int64 // per-emission boundary deltas; prefix-summed into Cnt
 
@@ -576,138 +551,16 @@ type EventSweeper struct {
 	gapHi    []Emission // ordered sub-log of emissions reaching past block 0
 }
 
-// Sweep runs the multi-threshold idle reconstruction over events for the
-// ascending slate of bank counts. maxBank bounds the event bank indices
-// (installed banks; the cold sentinel is maxBank+1). window, start and end
-// have BoundedIdleIntervals semantics. After Sweep, Cnt/Sum/Min hold each
-// candidate's interval statistics and Emits the shared emission log.
-func (s *EventSweeper) Sweep(events []SweepEvent, slate []int32, maxBank int32, window, start, end simtime.Seconds) {
-	k := len(slate)
-	for i := 1; i < k; i++ {
-		if slate[i] < slate[i-1] {
-			panic("lrusim: EventSweeper slate must be ascending")
-		}
-	}
-	s.reset(k, int(maxBank))
-	s.gapLog = nil
-
-	// bound[b] = number of slate entries with bank < b: the miss bound of
-	// a reference whose bank depth is b, precomputed so the per-event cost
-	// is one table load instead of a binary search.
-	j := 0
-	for b := int32(0); b <= maxBank+1; b++ {
-		for j < k && slate[j] < b {
-			j++
-		}
-		s.bound[b] = int32(j)
-	}
-
-	// The segment stack holds strictly decreasing segHi values top-down
-	// (every push first pops all entries ≤ its bound), so its depth never
-	// exceeds k+1: fixed-capacity arrays indexed by a local depth counter
-	// keep the per-event cost free of append bookkeeping.
-	segT, segHi := s.segT[:k+1], s.segHi[:k+1]
-	boundTab := s.bound
-	n := 0
-
-	// Emission records are written unconditionally and the log index
-	// advances by the sign bit of gap − window: an IEEE subtraction of
-	// distinct doubles never rounds to zero, so the sign bit is clear
-	// exactly when gap ≥ window. Filtering without a data-dependent
-	// branch keeps the event loop free of its worst misprediction source.
-	need := 2*len(events) + k + 2 // pops ≤ pushes ≤ len+1, partials ≤ len, end ≤ k+1
-	if cap(s.Emits) < need {
-		s.Emits = make([]Emission, need)
-	}
-	emits := s.Emits[:need]
-	cntDiff := s.cntDiff
-	idx := 0
-
-	// Boundary start covers every threshold: idle time before the first
-	// disk access counts from the period start.
-	if start >= 0 {
-		segT[0], segHi[0] = start, int32(k)
-		n = 1
-	}
-
-	for _, e := range events {
-		bound := boundTab[e.Bank]
-		if bound == 0 {
-			continue
-		}
-		t := e.T
-		low := int32(0)
-		for n > 0 && segHi[n-1] <= bound {
-			hi := segHi[n-1]
-			gap := float64(t - segT[n-1])
-			emits[idx] = Emission{Gap: gap, Lo: low, Hi: hi}
-			keep := int64(math.Float64bits(gap-float64(window))>>63) ^ 1
-			cntDiff[low] += keep
-			cntDiff[hi] -= keep
-			idx += int(keep)
-			low = hi
-			n--
-		}
-		// A surviving segment may still cover part of [low, bound): emit
-		// its gap for the covered prefix; the segment itself keeps
-		// representing [bound, hi) once the event is pushed.
-		if n > 0 && low < bound {
-			gap := float64(t - segT[n-1])
-			emits[idx] = Emission{Gap: gap, Lo: low, Hi: bound}
-			keep := int64(math.Float64bits(gap-float64(window))>>63) ^ 1
-			cntDiff[low] += keep
-			cntDiff[bound] -= keep
-			idx += int(keep)
-		}
-		segT[n], segHi[n] = t, bound
-		n++
-	}
-
-	// Boundary end: one trailing gap per threshold whose last access is
-	// strictly before end.
-	if end >= 0 {
-		low := int32(0)
-		for j := n - 1; j >= 0; j-- {
-			t := segT[j]
-			hi := segHi[j]
-			if end > t {
-				if gap := end - t; gap >= window {
-					emits[idx] = Emission{Gap: float64(gap), Lo: low, Hi: hi}
-					cntDiff[low]++
-					cntDiff[hi]--
-					idx++
-				}
-			}
-			low = hi
-		}
-	}
-	s.Emits = emits[:idx]
-
-	// Interval counts are order-free integers, so they accumulate as
-	// emission-boundary deltas and materialise in one exact prefix pass.
-	c := int64(0)
-	for i := 0; i < k; i++ {
-		c += s.cntDiff[i]
-		s.Cnt[i] = c
-	}
-
-	// Sum/min fold deferred out of the event loop: one linear pass over
-	// the emission log keeps the stack loop small and branch-light, and
-	// per candidate the emissions are folded in exactly the order they
-	// were appended — the chronological order a per-candidate interval
-	// list would have.
-	foldEmits(s.Emits, s.Sum, s.Min)
-}
-
 // SweepGaps prices an ascending slate from a finished bank-space gap log
 // (see GapStream) instead of re-sweeping the event stream: each logged
 // emission's threshold range [Lo, Hi) maps through the slate's bound
 // table to the contiguous slate-index range [bound[Lo], bound[Hi)), and
-// the per-candidate reductions fold exactly the gaps a dedicated slate
-// sweep would have emitted, in the same order — so Cnt/Sum/Min (and a
-// later TailStats) are bit-identical to Sweep over the same period. The
-// log is O(kept gaps), independent of the slate, which is what makes the
-// decision hot path sub-linear in events: the sweep ran once, at ingest.
+// the per-candidate reductions fold exactly the gaps a per-candidate log
+// replay would have produced, in the same order — so Cnt/Sum/Min (and a
+// later TailStats) are bit-identical to reductions over
+// BoundedIdleIntervals for each candidate. The log is O(kept gaps),
+// independent of the slate, which is what makes the decision hot path
+// sub-linear in events: the sweep ran once, at ingest.
 func (s *EventSweeper) SweepGaps(gaps []Emission, slate []int32, maxBank int32) {
 	k := len(slate)
 	for i := 1; i < k; i++ {
@@ -875,7 +728,7 @@ func (s *EventSweeper) reset(k, maxBank int) {
 		s.bound = make([]int32, maxBank+2)
 	}
 	s.bound = s.bound[:maxBank+2]
-	if cap(s.segT) < k+1 {
+	if cap(s.cntDiff) < k+1 {
 		// Capacity rounded up to whole 32-lane blocks: the register-resident
 		// gap kernels load and store full accumulator blocks, so the backing
 		// arrays must own the complete width of every block the slate
@@ -888,15 +741,11 @@ func (s *EventSweeper) reset(k, maxBank int) {
 		s.Sum = make([]float64, k, kk)
 		s.Min = make([]float64, k, kk)
 		s.cntDiff = make([]int64, k+1, kk+1)
-		s.segT = make([]simtime.Seconds, k+1, kk+1)
-		s.segHi = make([]int32, k+1, kk+1)
 	}
 	s.Cnt = s.Cnt[:k]
 	s.Sum = s.Sum[:k]
 	s.Min = s.Min[:k]
 	s.cntDiff = s.cntDiff[:k+1]
-	s.segT = s.segT[:k+1]
-	s.segHi = s.segHi[:k+1]
 	inf := math.Inf(1)
 	for i := 0; i < k; i++ {
 		s.Cnt[i] = 0
@@ -906,36 +755,4 @@ func (s *EventSweeper) reset(k, maxBank int) {
 	}
 	s.cntDiff[k] = 0
 	s.Emits = s.Emits[:0]
-}
-
-// BuildEvents compresses a depth-annotated log into the SweepEvent stream
-// a DepthHist would have accumulated: the batch path's half of the
-// incremental/batch equivalence. minKeepBanks and dedup must match the
-// histogram's configuration.
-func BuildEvents(dst []SweepEvent, log []DepthRecord, bankPages int64, maxBanks, minKeepBanks int, dedup bool) []SweepEvent {
-	cold := int32(maxBanks) + 1
-	for i := range log {
-		r := &log[i]
-		bank := cold
-		if r.Depth != Cold {
-			b := (int64(r.Depth)-1)/bankPages + 1
-			if b > int64(maxBanks)+1 {
-				b = int64(maxBanks) + 1
-			}
-			bank = int32(b)
-		}
-		if bank <= int32(minKeepBanks) {
-			continue
-		}
-		if dedup {
-			if n := len(dst); n > 0 && dst[n-1].T == r.Time {
-				if bank > dst[n-1].Bank {
-					dst[n-1].Bank = bank
-				}
-				continue
-			}
-		}
-		dst = append(dst, SweepEvent{T: r.Time, Bank: bank})
-	}
-	return dst
 }

@@ -74,7 +74,7 @@ func naiveReplay(log []DepthRecord, bankPages int64, maxBanks int) naiveAggregat
 // randPeriodLog generates one period's depth-annotated stream: time-ordered
 // records over a small page universe with a mix of cold references, depths
 // straddling the bank clamp, and repeated same-timestamp bursts (the case
-// event compression must collapse exactly like the batch builder).
+// event compression must collapse exactly like buildEvents).
 func randPeriodLog(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRecord {
 	n := 1 + rng.Intn(400)
 	log := make([]DepthRecord, 0, n)
@@ -99,10 +99,42 @@ func randPeriodLog(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRecord 
 	return log
 }
 
+// buildEvents compresses a whole depth-annotated log into the SweepEvent
+// stream a DepthHist accumulates record by record: the reference the
+// histogram's streaming compression is checked against. minKeepBanks and
+// dedup must match the histogram's configuration.
+func buildEvents(dst []SweepEvent, log []DepthRecord, bankPages int64, maxBanks, minKeepBanks int, dedup bool) []SweepEvent {
+	cold := int32(maxBanks) + 1
+	for i := range log {
+		r := &log[i]
+		bank := cold
+		if r.Depth != Cold {
+			b := (int64(r.Depth)-1)/bankPages + 1
+			if b > int64(maxBanks)+1 {
+				b = int64(maxBanks) + 1
+			}
+			bank = int32(b)
+		}
+		if bank <= int32(minKeepBanks) {
+			continue
+		}
+		if dedup {
+			if n := len(dst); n > 0 && dst[n-1].T == r.Time {
+				if bank > dst[n-1].Bank {
+					dst[n-1].Bank = bank
+				}
+				continue
+			}
+		}
+		dst = append(dst, SweepEvent{T: r.Time, Bank: bank})
+	}
+	return dst
+}
+
 // TestDepthHistMatchesNaiveReplay drives randomized period logs through a
 // streaming DepthHist and checks every aggregate — histogram prefix sums,
 // cold/non-cold counters, max depth, and the compressed event stream —
-// against a naive full-log replay and the batch BuildEvents builder. The
+// against a naive full-log replay and the whole-log buildEvents. The
 // same histogram is reused across trials so Reset's buffer reuse is under
 // test too.
 func TestDepthHistMatchesNaiveReplay(t *testing.T) {
@@ -146,8 +178,8 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 			if !reflect.DeepEqual(h.AppendFirstPrefix(nil), want.firstPrefix) {
 				return false
 			}
-			wantEv := BuildEvents(nil, log, g.bankPages, g.maxBanks, g.minKeep, g.window > 0)
-			gotEv := h.Events()
+			wantEv := buildEvents(nil, log, g.bankPages, g.maxBanks, g.minKeep, g.window > 0)
+			gotEv := h.events
 			if len(gotEv) != len(wantEv) {
 				return false
 			}

@@ -1,6 +1,7 @@
 package lrusim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,13 +75,17 @@ func TestBoundedIdleIntervalsEdgeCases(t *testing.T) {
 	})
 }
 
-// randomSweepCase builds a time-ordered depth log and an ascending
-// threshold list from a seed.
-func randomSweepCase(rng *rand.Rand) (log []DepthRecord, thresholds []int64, window, start, end simtime.Seconds) {
+// randomSweepCase builds a time-ordered depth log (with same-timestamp
+// runs, so the histogram's event compression is exercised) and an
+// ascending slate of bank counts (repeats and 0 allowed, wide enough to
+// take the blocked gap kernels) from a seed.
+func randomSweepCase(rng *rand.Rand) (log []DepthRecord, slate []int32, window, start, end simtime.Seconds) {
 	n := rng.Intn(400)
 	tm := 0.0
 	for i := 0; i < n; i++ {
-		tm += rng.Float64() * 3
+		if rng.Intn(5) > 0 {
+			tm += rng.Float64() * 3
+		}
 		d := Cold
 		if rng.Intn(4) > 0 {
 			d = 1 + rng.Intn(64)
@@ -92,11 +97,11 @@ func randomSweepCase(rng *rand.Rand) (log []DepthRecord, thresholds []int64, win
 			Bytes: simtime.Bytes(1 + rng.Intn(4)),
 		})
 	}
-	k := 1 + rng.Intn(40)
-	v := int64(0)
+	k := 1 + rng.Intn(80)
+	v := int32(0)
 	for i := 0; i < k; i++ {
-		v += int64(rng.Intn(8)) // may repeat (step 0) and may start at 0
-		thresholds = append(thresholds, v)
+		v += int32(rng.Intn(3)) // may repeat (step 0) and may start at 0
+		slate = append(slate, v)
 	}
 	switch rng.Intn(3) {
 	case 0:
@@ -111,34 +116,98 @@ func randomSweepCase(rng *rand.Rand) (log []DepthRecord, thresholds []int64, win
 		start = 0
 		end = simtime.Seconds(tm + rng.Float64()*10)
 	}
-	return log, thresholds, window, start, end
+	return log, slate, window, start, end
 }
 
-// TestQuickSweepEquivalence is the tentpole's correctness property: the
-// one-pass multi-threshold sweep is byte-for-byte equivalent to one
-// BoundedIdleIntervals replay per threshold, across randomized logs,
-// threshold lists, windows, and observation bounds.
+// replayStats is the per-candidate oracle: the idle intervals one
+// BoundedIdleIntervals replay reconstructs at a capacity of pages,
+// reduced in chronological order exactly as the gap kernels fold them.
+func replayStats(log []DepthRecord, pages int64, window, start, end simtime.Seconds) (iv []float64, nd, cnt int64, sum, min float64) {
+	iv, nd = BoundedIdleIntervals(log, pages, window, start, end)
+	min = math.Inf(1)
+	for _, l := range iv {
+		sum += l
+		if l < min {
+			min = l
+		}
+	}
+	return iv, nd, int64(len(iv)), sum, min
+}
+
+// TestQuickSweepEquivalence is the kernel's correctness property: pricing
+// a slate from a DepthHist's gap log (event compression, GapStream, the
+// remapped fold, then a TailStats pass) is bit-identical to one
+// BoundedIdleIntervals replay per candidate — interval count, sum, min,
+// disk accesses, and the tail reductions at arbitrary timeouts — across
+// randomized logs, bank geometries, event-dropping depths, windows
+// (including 0, where zero-length gaps count), observation bounds, and
+// slates wider than one 32-lane kernel block.
 func TestQuickSweepEquivalence(t *testing.T) {
-	var sw Sweeper // shared across cases: buffer reuse must not leak state
+	var sw EventSweeper // shared across cases: buffer reuse must not leak state
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		log, thresholds, window, start, end := randomSweepCase(rng)
-		gotIv, gotNd := sw.Sweep(log, thresholds, window, start, end)
-		for i, m := range thresholds {
-			wantIv, wantNd := BoundedIdleIntervals(log, m, window, start, end)
-			if gotNd[i] != wantNd {
-				t.Logf("seed %d threshold %d (m=%d): nd %d, want %d", seed, i, m, gotNd[i], wantNd)
+		log, slate, window, start, end := randomSweepCase(rng)
+		bankPages := int64(1 + rng.Intn(3))
+		maxBanks := int(slate[len(slate)-1])
+		if maxBanks < 1 {
+			maxBanks = 1
+		}
+		h := NewDepthHist(bankPages, maxBanks, rng.Intn(int(slate[0])+1), window)
+		for off := 0; off < len(log); {
+			n := 1 + rng.Intn(len(log)-off)
+			if rng.Intn(2) == 0 {
+				h.Observe(log[off])
+				n = 1
+			} else {
+				h.ObserveBatch(log[off : off+n])
+			}
+			off += n
+		}
+		colds, _ := h.Cold()
+		nonCold, _ := h.NonCold()
+		countPfx := h.AppendCountPrefix(nil)
+		sw.SweepGaps(h.FinishGaps(start, end), slate, int32(maxBanks))
+
+		k := len(slate)
+		kk := (k + 31) &^ 31
+		to := make([]float64, k, kk)
+		ts := make([]float64, k, kk)
+		hs := make([]int64, k, kk)
+		for i := range to {
+			to[i] = rng.Float64() * 3
+			if rng.Intn(8) == 0 {
+				to[i] = math.Inf(1)
+			}
+		}
+		sw.TailStats(to, ts, hs)
+		for i, b := range slate {
+			iv, wantNd, cnt, sum, min := replayStats(log, int64(b)*bankPages, window, start, end)
+			nd := colds + nonCold
+			if b > 0 {
+				nd -= countPfx[b-1]
+			}
+			if nd != wantNd {
+				t.Logf("seed %d slate[%d]=%d: nd %d, want %d", seed, i, b, nd, wantNd)
 				return false
 			}
-			if len(gotIv[i]) != len(wantIv) {
-				t.Logf("seed %d threshold %d (m=%d): %d intervals, want %d", seed, i, m, len(gotIv[i]), len(wantIv))
+			if sw.Cnt[i] != cnt || math.Float64bits(sw.Sum[i]) != math.Float64bits(sum) ||
+				math.Float64bits(sw.Min[i]) != math.Float64bits(min) {
+				t.Logf("seed %d slate[%d]=%d: kernel (%d, %v, %v), replay (%d, %v, %v)",
+					seed, i, b, sw.Cnt[i], sw.Sum[i], sw.Min[i], cnt, sum, min)
 				return false
 			}
-			for j := range wantIv {
-				if gotIv[i][j] != wantIv[j] {
-					t.Logf("seed %d threshold %d interval %d: %v != %v", seed, i, j, gotIv[i][j], wantIv[j])
-					return false
+			var wantTS float64
+			var wantH int64
+			for _, l := range iv {
+				if l > to[i] {
+					wantTS += l - to[i]
+					wantH++
 				}
+			}
+			if math.Float64bits(ts[i]) != math.Float64bits(wantTS) || hs[i] != wantH {
+				t.Logf("seed %d slate[%d]=%d tail at %v: kernel (%v, %d), replay (%v, %d)",
+					seed, i, b, to[i], ts[i], hs[i], wantTS, wantH)
+				return false
 			}
 		}
 		return true
@@ -148,21 +217,38 @@ func TestQuickSweepEquivalence(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesPaperExample prices the Fig. 4 log from
+// TestIdleIntervalsSplitAndMerge at all three sizes in one slate: 9/7/5
+// idle intervals over 10/8/6 disk accesses, and the 17 s interval the
+// hits at t=10 and t=11 merge at the larger sizes is the only one longer
+// than 16.5 s.
 func TestSweepMatchesPaperExample(t *testing.T) {
-	// The Fig. 4 log from TestIdleIntervalsSplitAndMerge, all three sizes
-	// in one sweep.
 	times := []float64{0, 1, 2, 3, 10, 11, 20, 21, 30, 31}
 	depths := []int{Cold, Cold, Cold, Cold, 3, 4, Cold, Cold, 5, 5}
 	log := recordsFromSeq(times, depths)
-	iv, nd := MultiIdleSweep(log, []int64{2, 4, 5}, 0.5, -1, -1)
-	if nd[0] != 10 || nd[1] != 8 || nd[2] != 6 {
-		t.Fatalf("nd = %v, want [10 8 6]", nd)
+	h := NewDepthHist(1, 5, 0, 0.5)
+	h.ObserveBatch(log)
+	slate := []int32{2, 4, 5}
+	var sw EventSweeper
+	sw.SweepGaps(h.FinishGaps(-1, -1), slate, 5)
+	if sw.Cnt[0] != 9 || sw.Cnt[1] != 7 || sw.Cnt[2] != 5 {
+		t.Fatalf("interval counts = %v, want [9 7 5]", sw.Cnt)
 	}
-	if len(iv[0]) != 9 || len(iv[1]) != 7 || len(iv[2]) != 5 {
-		t.Fatalf("interval counts = %d/%d/%d, want 9/7/5", len(iv[0]), len(iv[1]), len(iv[2]))
+	pfx := h.AppendCountPrefix(nil)
+	for i, want := range []int64{10, 8, 6} {
+		if nd := int64(len(log)) - pfx[slate[i]-1]; nd != want {
+			t.Fatalf("slate[%d]: %d disk accesses, want %d", i, nd, want)
+		}
 	}
-	if iv[1][3] != 17 {
-		t.Fatalf("merged interval = %v, want 17", iv[1][3])
+	to := make([]float64, 3, 32)
+	for i := range to {
+		to[i] = 16.5
+	}
+	ts := make([]float64, 3, 32)
+	hs := make([]int64, 3, 32)
+	sw.TailStats(to, ts, hs)
+	if !reflect.DeepEqual(hs, []int64{0, 1, 1}) || !reflect.DeepEqual(ts, []float64{0, 0.5, 0.5}) {
+		t.Fatalf("tail past 16.5 s: h=%v ts=%v, want [0 1 1] / [0 0.5 0.5]", hs, ts)
 	}
 }
 
@@ -172,11 +258,13 @@ func TestSweepPanicsOnDescendingThresholds(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	MultiIdleSweep(nil, []int64{4, 2}, 0, -1, -1)
+	var sw EventSweeper
+	sw.SweepGaps(nil, []int32{4, 2}, 8)
 }
 
 // sweepBenchLog builds the paper-scale-ish log shared by the sweep
-// benchmarks: 1<<16 references over a Zipf-like reuse pattern.
+// benchmarks: 1<<16 references over a Zipf-like reuse pattern, priced at
+// 32 thresholds of 512 pages.
 func sweepBenchLog() ([]DepthRecord, []int64, simtime.Seconds) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewStackSim(1 << 16)
@@ -194,20 +282,28 @@ func sweepBenchLog() ([]DepthRecord, []int64, simtime.Seconds) {
 	return log, thresholds, tm
 }
 
-// BenchmarkMultiIdleSweep32 measures one 32-threshold sweep — the work a
-// joint-manager refinement pass now costs.
-func BenchmarkMultiIdleSweep32(b *testing.B) {
-	log, thresholds, tm := sweepBenchLog()
-	var sw Sweeper
+// BenchmarkSweepGaps32 measures pricing one 32-candidate slate from a
+// finished gap log — the work a joint-manager refinement pass costs at
+// the boundary (the gap log itself is built at ingest).
+func BenchmarkSweepGaps32(b *testing.B) {
+	log, _, tm := sweepBenchLog()
+	h := NewDepthHist(512, 32, 0, 0.1)
+	h.ObserveBatch(log)
+	gaps := h.FinishGaps(0, tm)
+	slate := make([]int32, 32)
+	for i := range slate {
+		slate[i] = int32(i + 1)
+	}
+	var sw EventSweeper
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.Sweep(log, thresholds, 0.1, 0, tm)
+		sw.SweepGaps(gaps, slate, 32)
 	}
 }
 
 // BenchmarkPerSizeReplay32 measures the same pass as 32 independent log
-// replays — the pre-sweep cost retained for comparison.
+// replays — the replay oracle's cost, for comparison.
 func BenchmarkPerSizeReplay32(b *testing.B) {
 	log, thresholds, tm := sweepBenchLog()
 	b.ReportAllocs()

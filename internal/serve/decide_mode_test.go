@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -10,46 +11,96 @@ import (
 	"testing"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
+	"jointpm/internal/obs"
+	"jointpm/internal/simtime"
 )
 
 // TestIncrementalDecisionStreamMatchesBatch is the daemon-level half of
-// the incremental-Decide equivalence proof: the same stream served in
-// batch and incremental observation mode must publish identical decision
-// sequences, with and without warmup periods (which exercise the
-// DiscardPeriod path in the shard).
+// the decision-path proof: a shard streams references into its manager
+// block by block and decides at each boundary, and its decision journal
+// must match, byte for byte, a manager handed each period's whole depth
+// log through Decide — logs rebuilt from the trace by an independent LRU
+// stack, calibration inputs read back from the shard's journal. Core's
+// differential tests hold Decide to the replay oracle. Runs with and
+// without warmup periods (which the shard discards unexamined).
 func TestIncrementalDecisionStreamMatchesBatch(t *testing.T) {
 	tr := testTrace(t, 31)
 	for _, warmup := range []int{0, 3} {
-		batchCfg := testConfig(nil)
-		batchCfg.WarmupPeriods = warmup
-		want := runUninterrupted(t, tr, batchCfg)
-		if len(want) < 10 {
-			t.Fatalf("warmup=%d: batch run closed only %d periods", warmup, len(want))
+		var shardJ, replayJ bytes.Buffer
+		sink := obs.NewDecisionSink(&shardJ, 64)
+		cfg := testConfig(nil)
+		cfg.WarmupPeriods = warmup
+		cfg.Joint = &core.Params{DecisionTrace: sink}
+		if got := runUninterrupted(t, tr, cfg); len(got) < 10 {
+			t.Fatalf("warmup=%d: run closed only %d periods", warmup, len(got))
+		}
+		if err := sink.Close(); err != nil || sink.Dropped() != 0 {
+			t.Fatalf("journal: %v, %d dropped", err, sink.Dropped())
 		}
 
-		incCfg := testConfig(nil)
-		incCfg.WarmupPeriods = warmup
-		incCfg.Decide = core.ModeIncremental
-		got := runUninterrupted(t, tr, incCfg)
-
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("warmup=%d: incremental decision stream diverges from batch (got %d, want %d decisions)",
-				warmup, len(got), len(want))
+		srv, err := New(testConfig(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := srv.params
+		replaySink := obs.NewDecisionSink(&replayJ, 64)
+		p.DecisionTrace = replaySink
+		mgr, err := core.NewManager(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack := lrusim.NewStackSim(int(srv.installedPages))
+		next := 0
+		lines := bytes.Split(bytes.TrimSpace(shardJ.Bytes()), []byte("\n"))
+		if want := 15 - warmup; len(lines) != want {
+			t.Fatalf("warmup=%d: %d journaled decisions, want %d", warmup, len(lines), want)
+		}
+		for _, line := range lines {
+			var rec obs.DecisionRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			o := rec.Observation
+			start, end := simtime.Seconds(o.PeriodStart), simtime.Seconds(o.PeriodEnd)
+			var log []lrusim.DepthRecord
+			for ; next < len(tr.Requests) && tr.Requests[next].Time < end; next++ {
+				r := tr.Requests[next]
+				for k := int32(0); k < r.Pages; k++ {
+					d := stack.Reference(r.FirstPage + int64(k))
+					if r.Time >= start {
+						log = append(log, lrusim.DepthRecord{Time: r.Time, Page: r.FirstPage + int64(k), Depth: d, Bytes: tr.PageSize})
+					}
+				}
+			}
+			mgr.Decide(core.Observation{
+				Log:            log,
+				CacheAccesses:  o.CacheAccesses,
+				CoalesceFactor: float64(o.CoalesceFactor),
+				PeriodStart:    start,
+				PeriodEnd:      end,
+				CurrentBanks:   o.CurrentBanks,
+			})
+		}
+		if err := replaySink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(shardJ.Bytes(), replayJ.Bytes()) {
+			t.Errorf("warmup=%d: shard journal diverges from whole-log Decide\nshard:\n%s\nreplay:\n%s",
+				warmup, shardJ.Bytes(), replayJ.Bytes())
 		}
 	}
 }
 
 // TestIncrementalWarmRestartParity replays the warm-restart acceptance
-// criterion in incremental mode: stopping at an arbitrary request (mid-
-// period included) and restarting from the checkpoint must reproduce the
-// uninterrupted incremental run's decision stream exactly. Mid-period
-// cuts force restore to rebuild the streaming histogram by replaying the
-// snapshot's partial-period log, validated against the v2 snapshot's
-// recorded ingested-reference count.
+// criterion: stopping at an arbitrary request (mid-period included) and
+// restarting from the checkpoint must reproduce the uninterrupted run's
+// decision stream exactly. Mid-period cuts force restore to rebuild the
+// streaming histogram by replaying the snapshot's partial-period log,
+// validated against the snapshot's recorded ingested-reference count.
 func TestIncrementalWarmRestartParity(t *testing.T) {
 	tr := testTrace(t, 11)
 	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
 	want := runUninterrupted(t, tr, base)
 	if len(want) < 10 {
 		t.Fatalf("reference run closed only %d periods", len(want))
@@ -61,7 +112,6 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 
 		log1 := &decisionLog{}
 		cfg := testConfig(log1)
-		cfg.Decide = core.ModeIncremental
 		cfg.SnapshotPath = snap
 		srv1, err := New(cfg)
 		if err != nil {
@@ -82,7 +132,6 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 
 		log2 := &decisionLog{}
 		cfg2 := testConfig(log2)
-		cfg2.Decide = core.ModeIncremental
 		cfg2.SnapshotPath = snap
 		srv2, err := New(cfg2)
 		if err != nil {
@@ -115,70 +164,84 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 	}
 }
 
-// TestBatchSnapshotRestoresIntoIncremental covers the mode-migration
-// path: a checkpoint cut by a batch daemon restores into an
-// incremental-mode server, which rebuilds the histogram from the stored
-// partial-period log; the combined stream still matches an uninterrupted
-// incremental run (itself bit-identical to batch).
+// TestBatchSnapshotRestoresIntoIncremental covers snapshots cut by
+// daemons that still ran the retired batch decide mode: such files carry
+// observation mode 0 and no ingested-reference count, and must restore —
+// the partial-period log is replayed into the manager unvalidated — so
+// that the combined decision stream still matches an uninterrupted run.
+// Exercised as a v2 file (the first with the mode section) and as v5.
 func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 	tr := testTrace(t, 11)
-	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
-	want := runUninterrupted(t, tr, base)
-
+	want := runUninterrupted(t, tr, testConfig(nil))
 	cut := len(tr.Requests) / 2
-	snap := filepath.Join(t.TempDir(), "daemon.snap")
 
-	log1 := &decisionLog{}
-	cfg := testConfig(log1) // batch mode
-	cfg.SnapshotPath = snap
-	srv1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh1, err := srv1.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cut; i++ {
-		if err := sh1.Ingest(tr.Requests[i]); err != nil {
+	for _, version := range []byte{2, snapshotVersion} {
+		snap := filepath.Join(t.TempDir(), "daemon.snap")
+		log1 := &decisionLog{}
+		cfg := testConfig(log1)
+		cfg.SnapshotPath = snap
+		srv1, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	log2 := &decisionLog{}
-	cfg2 := testConfig(log2)
-	cfg2.Decide = core.ModeIncremental
-	cfg2.SnapshotPath = snap
-	srv2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv2.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	sh2, err := srv2.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
-		if err := sh2.Ingest(tr.Requests[i]); err != nil {
+		sh1, err := srv1.Shard("d0")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sh2.FinishTo(tr.Duration); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.Close(); err != nil {
-		t.Fatal(err)
-	}
+		for i := 0; i < cut; i++ {
+			if err := sh1.Ingest(tr.Requests[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the checkpoint the way a batch-mode daemon cut it.
+		states, err := readSnapshotFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(states[0].Log) == 0 {
+			t.Fatal("cut landed on a period boundary; no partial period to replay")
+		}
+		for i := range states {
+			states[i].Mode = snapModeBatch
+			states[i].IngestedRefs = 0
+		}
+		if _, err := writeSnapshotFileV(snap, states, version); err != nil {
+			t.Fatal(err)
+		}
 
-	got := append(log1.list(), log2.list()...)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batch→incremental restore diverges (got %d, want %d decisions)", len(got), len(want))
+		log2 := &decisionLog{}
+		cfg2 := testConfig(log2)
+		cfg2.SnapshotPath = snap
+		srv2, err := New(cfg2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv2.Restore(); err != nil {
+			t.Fatalf("v%d batch-mode snapshot: %v", version, err)
+		}
+		sh2, err := srv2.Shard("d0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
+			if err := sh2.Ingest(tr.Requests[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sh2.FinishTo(tr.Duration); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got := append(log1.list(), log2.list()...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("v%d batch-mode restore diverges (got %d, want %d decisions)", version, len(got), len(want))
+		}
 	}
 }
 

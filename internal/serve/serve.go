@@ -52,14 +52,14 @@ type Config struct {
 	// slate single-speed and bit-identical to a build without the ladder.
 	SpeedLevels int
 
-	// Decide selects the manager's observation path: batch (the zero
-	// value) hands each closed period's depth log to core.Manager.Decide;
-	// incremental streams every reference through Manager.Ingest as it is
-	// served, so closing a period is core.Manager.DecideIncremental — an
-	// O(banks + events) query instead of an O(refs) replay. Decisions are
-	// bit-identical either way. The partial-period depth log is kept in
-	// both modes: it is what the snapshot persists, and what a restore
-	// replays through Ingest to rebuild the incremental state.
+	// Decide once selected between a batch and an incremental
+	// observation path.
+	//
+	// Deprecated: ignored. Shards always stream references into the
+	// manager as they are served, and closing a period is
+	// core.Manager.DecideIncremental — an O(banks + kept gaps) query. The
+	// partial-period depth log is still kept: it is what the snapshot
+	// persists, and what a restore replays through IngestBatch.
 	Decide core.DecideMode
 
 	// RefitDriftFrac, when positive, activates the steady-state refit

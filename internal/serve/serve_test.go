@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
 	"jointpm/internal/workload"
@@ -291,6 +296,19 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		"length lies":   flipByte(good, 5),
 		"trailing junk": append(append([]byte{}, good...), 0xAB),
 	}
+	// Checksum-valid payloads the encoder never writes: padded varints,
+	// an out-of-order counter map, a fallback flag other than 0/1.
+	payload := encodePayload([]shardState{{Name: "d0", NextBoundary: 120}}, snapshotVersion)
+	corrupt["padded varint"] = snapshotBytes(append([]byte{0x81, 0x00}, payload[1:]...), snapshotVersion)
+	unsorted := encodePayload([]shardState{{Name: "d0", NextBoundary: 120,
+		Core: core.State{Counters: map[string]int64{"a": 1, "b": 2}}}}, snapshotVersion)
+	unsorted = bytes.Replace(unsorted, []byte("\x01a\x01\x01b\x02"), []byte("\x01b\x02\x01a\x01"), 1)
+	corrupt["unsorted counters"] = snapshotBytes(unsorted, snapshotVersion)
+	fb := append([]byte(nil), payload...)
+	// Skip count, name, period index, consumed, boundary, current
+	// banks/pages, core banks/pages and timeout to the fallback flag.
+	fb[1+(1+2)+1+1+8+1+1+1+1+8] = 2
+	corrupt["fallback flag 2"] = snapshotBytes(fb, snapshotVersion)
 	for name, b := range corrupt {
 		p := filepath.Join(dir, "c.snap")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
@@ -298,6 +316,40 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		}
 		if _, err := readSnapshotFile(p); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	// Checksum-valid snapshots whose partial-period log cannot be
+	// replayed into the manager are rejected by the decoder with a
+	// described error — restore never reaches the depth histogram with
+	// them (a depth of 0 used to panic it).
+	badLogs := map[string]logRecord{
+		"zero depth":        {Time: 1, Page: 3, Depth: 0, Bytes: 1},
+		"depth below cold":  {Time: 1, Page: 3, Depth: -2, Bytes: 1},
+		"negative page":     {Time: 1, Page: -1, Depth: 2, Bytes: 1},
+		"negative bytes":    {Time: 1, Page: 3, Depth: 2, Bytes: -1},
+		"non-finite time":   {Time: math.Inf(1), Page: 3, Depth: 2, Bytes: 1},
+		"time out of order": {Time: -1, Page: 3, Depth: 2, Bytes: 1},
+	}
+	for name, rec := range badLogs {
+		p := filepath.Join(dir, "log.snap")
+		st := shardState{Name: "d0", NextBoundary: 120, CurBanks: 128, CurPages: 2048,
+			Core: core.State{Banks: 128, Pages: 2048, Timeout: 5},
+			Log:  []logRecord{{Time: 0, Page: 1, Depth: lrusim.Cold, Bytes: 1}, rec}}
+		if _, err := writeSnapshotFile(p, []shardState{st}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSnapshotFile(p); err == nil || !strings.Contains(err.Error(), "log record 1") {
+			t.Errorf("%s: decode error %v, want one naming log record 1", name, err)
+		}
+		cfg := testConfig(nil)
+		cfg.SnapshotPath = p
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Restore(); err == nil {
+			t.Errorf("%s: restored", name)
 		}
 	}
 
@@ -316,6 +368,22 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil || len(names) != 0 {
 		t.Fatalf("cold start Restore = (%v, %v), want no shards, nil", names, err)
 	}
+}
+
+// snapshotBytes frames a payload as a snapshot file: header, payload,
+// and a valid checksum.
+func snapshotBytes(payload []byte, version byte) []byte {
+	var f bytes.Buffer
+	f.WriteString(snapshotMagic)
+	f.WriteByte(version)
+	var lenBuf [8]byte
+	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
+	f.Write(lenBuf[:])
+	f.Write(payload)
+	var crcBuf [4]byte
+	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
+	f.Write(crcBuf[:])
+	return f.Bytes()
 }
 
 func flipByte(b []byte, i int) []byte {

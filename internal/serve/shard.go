@@ -28,8 +28,9 @@ type Decision struct {
 }
 
 // Shard is the online controller for one disk: the extended-LRU stack,
-// the current period's depth log, and the manager deciding (m, t_o) at
-// each period boundary. One goroutine ingests; the server's checkpoint
+// the manager its references stream into, and the current period's depth
+// log (kept for the snapshot), deciding (m, t_o) at each period
+// boundary. One goroutine ingests; the server's checkpoint
 // path locks the shard between requests, so a snapshot always lands on
 // a request boundary (never mid-request).
 type Shard struct {
@@ -48,7 +49,7 @@ type Shard struct {
 	consumed     int64 // requests ingested since stream start
 	nextBoundary simtime.Seconds
 	periodLog    []lrusim.DepthRecord
-	flushed      int   // periodLog prefix already fed to mgr (incremental mode)
+	flushed      int   // periodLog prefix already fed to mgr
 	cacheAcc     int64 // page references this period
 	misses       int64 // predicted misses this period
 	reqRuns      int64 // coalesced disk requests this period
@@ -171,9 +172,8 @@ func (sh *Shard) Ingest(req trace.Request) error {
 // lands in the same period, and each period sees the same log, as
 // one-at-a-time Ingest would produce, so the decision stream is
 // bit-identical (see TestServeBatchedIngestMatches). Between boundaries
-// the served records accumulate in the period log and reach the
-// incremental manager through one IngestBatch per run instead of one
-// Ingest per reference.
+// the served records accumulate in the period log and reach the manager
+// through one IngestBatch per run instead of one Ingest per reference.
 func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	if len(reqs) == 0 {
 		return nil
@@ -218,15 +218,11 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	return err
 }
 
-// flushIngest hands the period log's unflushed suffix to the incremental
-// manager in one block. Called with sh.mu held, before any boundary
-// close consumes the histogram and after every served run, so the
-// manager always sees exactly the period's log — just in blocks instead
-// of single records. No-op in batch mode.
+// flushIngest hands the period log's unflushed suffix to the manager in
+// one block. Called with sh.mu held, before any boundary close consumes
+// the histogram and after every served run, so the manager always sees
+// exactly the period's log — just in blocks instead of single records.
 func (sh *Shard) flushIngest() {
-	if sh.srv.cfg.Decide != core.ModeIncremental {
-		return
-	}
 	if pend := sh.periodLog[sh.flushed:]; len(pend) > 0 {
 		sh.mgr.IngestBatch(pend)
 		sh.flushed = len(sh.periodLog)
@@ -291,10 +287,10 @@ func (sh *Shard) serve(req trace.Request) {
 		sh.cacheAcc++
 		depth := sh.stack.Reference(page)
 		rec := lrusim.DepthRecord{Time: req.Time, Page: page, Depth: depth, Bytes: sh.pageSize}
-		// The log is kept even in incremental mode: it is the snapshot's
-		// replayable form of the partial period (see restore). In
-		// incremental mode the manager sees it in blocks — the caller
-		// flushes the unfed suffix through flushIngest after each run.
+		// The log is the snapshot's replayable form of the partial
+		// period (see restore). The manager sees it in blocks — the
+		// caller flushes the unfed suffix through flushIngest after each
+		// run.
 		sh.periodLog = append(sh.periodLog, rec)
 		hit := depth != lrusim.Cold && int64(depth) <= sh.curPages
 		if hit {
@@ -314,9 +310,10 @@ func (sh *Shard) serve(req trace.Request) {
 	sh.refsTotal += int64(req.Pages)
 }
 
-// closePeriod ends the current period: during warmup the manager's held
-// default is republished; afterwards the manager decides from the period
-// log under the server's decide semaphore. Called with sh.mu held.
+// closePeriod ends the current period: during warmup the ingested
+// references are discarded and the manager's held default is
+// republished; afterwards the manager decides over them under the
+// server's decide semaphore. Called with sh.mu held.
 //
 // With introspection enabled (sh.timed) the boundary is traced: Decide
 // wall time, per-reference ingest cost, and boundary-to-emit latency
@@ -339,7 +336,6 @@ func (sh *Shard) closePeriod() error {
 	start := end - sh.period
 	refs := sh.cacheAcc
 
-	incremental := sh.srv.cfg.Decide == core.ModeIncremental
 	warmup := idx <= int64(sh.srv.cfg.WarmupPeriods)
 	var dec core.Decision
 	var decideNs int64
@@ -360,12 +356,7 @@ func (sh *Shard) closePeriod() error {
 		if sh.timed {
 			decideStart = time.Now()
 		}
-		if incremental {
-			dec = sh.mgr.DecideIncremental(obs)
-		} else {
-			obs.Log = sh.periodLog
-			dec = sh.mgr.Decide(obs)
-		}
+		dec = sh.mgr.DecideIncremental(obs)
 		if sh.timed {
 			decideNs = time.Since(decideStart).Nanoseconds()
 		}
@@ -373,9 +364,7 @@ func (sh *Shard) closePeriod() error {
 		sh.curBanks = dec.Banks
 		sh.curPages = dec.Pages
 	} else {
-		if incremental {
-			sh.mgr.DiscardPeriod()
-		}
+		sh.mgr.DiscardPeriod()
 		dec = sh.mgr.Last()
 	}
 
@@ -414,7 +403,6 @@ func (sh *Shard) closePeriod() error {
 			rec := flight.PeriodRecord{
 				Disk:     sh.name,
 				Period:   idx,
-				Mode:     sh.srv.cfg.Decide.String(),
 				StartS:   obs.Float(start),
 				EndS:     obs.Float(end),
 				Refs:     refs,
@@ -470,12 +458,10 @@ func (sh *Shard) state() (shardState, []lrusim.DepthRecord) {
 		ReqRuns:      sh.reqRuns,
 		RefitDrift:   sh.mgr.Params().RefitDriftFrac,
 		BudgetW:      sh.budgetW,
+		Mode:         snapModeStreamed,
 	}
-	if sh.srv.cfg.Decide == core.ModeIncremental {
-		st.Mode = int64(core.ModeIncremental)
-		if h := sh.mgr.Hist(); h != nil {
-			st.IngestedRefs = h.Refs()
-		}
+	if h := sh.mgr.Hist(); h != nil {
+		st.IngestedRefs = h.Refs()
 	}
 	return st, append([]lrusim.DepthRecord(nil), sh.periodLog...)
 }
@@ -503,7 +489,10 @@ func (sh *Shard) restore(st shardState) error {
 	if st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 {
 		return fmt.Errorf("serve: shard %s: negative counters in snapshot", st.Name)
 	}
-	if !(simtime.Seconds(st.NextBoundary) > 0) {
+	if nb := simtime.Seconds(st.NextBoundary); !(nb > 0) || !(nb+sh.period > nb) {
+		// Also rejects +Inf and boundaries so large that adding a period
+		// no longer advances them: closing a period must move the
+		// boundary forward.
 		return fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
 	}
 	if err := sh.mgr.Restore(st.Core); err != nil {
@@ -543,23 +532,22 @@ func (sh *Shard) restore(st shardState) error {
 			Bytes: simtime.Bytes(r.Bytes),
 		})
 	}
-	if sh.srv.cfg.Decide == core.ModeIncremental {
-		// Rebuild the streaming observation state by replaying the
-		// partial period — ingest is deterministic (and the block entry
-		// point is bit-identical to record-at-a-time), so the histogram
-		// and gap log land exactly where the checkpointed run had them.
-		// When the snapshot itself was cut in incremental mode, its
-		// recorded reference count must agree with the replay.
-		sh.mgr.IngestBatch(sh.periodLog)
-		sh.flushed = len(sh.periodLog)
-		if st.Mode == int64(core.ModeIncremental) {
-			var got int64
-			if h := sh.mgr.Hist(); h != nil {
-				got = h.Refs()
-			}
-			if got != st.IngestedRefs {
-				return fmt.Errorf("serve: shard %s: incremental state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
-			}
+	// Rebuild the streaming observation state by replaying the partial
+	// period — ingest is deterministic (and the block entry point is
+	// bit-identical to record-at-a-time), so the histogram and gap log
+	// land exactly where the checkpointed run had them. A snapshot cut by
+	// a streaming daemon recorded its ingested reference count, which the
+	// replay must reproduce; files cut in the retired batch mode carry no
+	// count and restore the same way.
+	sh.mgr.IngestBatch(sh.periodLog)
+	sh.flushed = len(sh.periodLog)
+	if st.Mode == snapModeStreamed {
+		var got int64
+		if h := sh.mgr.Hist(); h != nil {
+			got = h.Refs()
+		}
+		if got != st.IngestedRefs {
+			return fmt.Errorf("serve: shard %s: ingested state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
 		}
 	}
 	return nil

@@ -11,7 +11,10 @@
 // times stored as raw float64 bits so the restored observation is
 // bit-identical to the one the uninterrupted run would have built.
 // Integers are uvarints (varints where negative values are legal, such
-// as the Cold depth); floats are fixed 8-byte bit patterns.
+// as the Cold depth); floats are fixed 8-byte bit patterns. The decoder
+// accepts only the encoder's own output — minimal varints, counter names
+// in ascending order, a 0/1 fallback flag — so an accepted payload
+// re-encodes to the same bytes.
 //
 // The file is written atomically: payload to a temp file in the same
 // directory, fsync, then rename over the target. A crash mid-write
@@ -33,17 +36,18 @@ import (
 	"path/filepath"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 )
 
 const (
 	snapshotMagic = "JPMS"
 
-	// snapshotVersion 2 added the per-shard incremental-decide section
+	// snapshotVersion 2 added the per-shard ingested-state section
 	// (observation mode + ingested reference count); version-1 files are
-	// still readable — they simply predate incremental mode, so the
-	// section decodes to its zero values and restore rebuilds any needed
-	// incremental state by replaying the stored partial-period log.
+	// still readable — the section decodes to its zero values and restore
+	// rebuilds the streaming state by replaying the stored partial-period
+	// log unvalidated.
 	// Version 3 appends the shard's refit drift-hold fraction, so a warm
 	// restart keeps the mode the checkpointed daemon was running even if
 	// the new process's flags differ; older files decode it as -1 ("keep
@@ -61,6 +65,15 @@ const (
 	// maxSnapshotShards bounds the shard count a reader will believe, so
 	// a corrupt count cannot drive allocation.
 	maxSnapshotShards = 1 << 16
+)
+
+// Values of shardState.Mode. Current daemons always stream references
+// into the manager and write snapModeStreamed; snapModeBatch is what
+// v2–v5 files cut by a daemon running the retired batch decide mode (and
+// every v1 file) decode to.
+const (
+	snapModeBatch    = 0
+	snapModeStreamed = 1
 )
 
 // errNoSnapshot marks "no checkpoint exists yet" — a cold start.
@@ -91,12 +104,14 @@ type shardState struct {
 	ReqRuns      int64
 	Log          []logRecord
 
-	// Incremental-decide section (snapshot v2): the observation mode the
-	// shard was running and how many references its manager had ingested
-	// into the streaming depth histogram when the checkpoint was cut.
-	// The histogram itself is not serialised — the partial-period Log is
-	// its replayable form — so Mode/IngestedRefs exist to validate that a
-	// restore's replay reconstructed exactly the state the snapshot saw.
+	// Ingested-state section (snapshot v2): the observation mode the
+	// shard was running (snapModeStreamed, or snapModeBatch for files cut
+	// by daemons that still had a batch mode) and how many references its
+	// manager had ingested into the streaming depth histogram when the
+	// checkpoint was cut. The histogram itself is not serialised — the
+	// partial-period Log is its replayable form — so Mode/IngestedRefs
+	// exist to validate that a restore's replay reconstructed exactly the
+	// state the snapshot saw.
 	Mode         int64
 	IngestedRefs int64
 
@@ -220,11 +235,40 @@ func sortedKeys(m map[string]int64) []string {
 }
 
 type payloadReader struct {
-	r *bytes.Reader
+	r   *bytes.Reader
+	tmp [binary.MaxVarintLen64]byte
 }
 
-func (r *payloadReader) uv() (uint64, error) { return binary.ReadUvarint(r.r) }
-func (r *payloadReader) sv() (int64, error)  { return binary.ReadVarint(r.r) }
+// errNonCanonical rejects a varint padded beyond its minimal length:
+// readable, but not what the encoder writes.
+var errNonCanonical = errors.New("non-canonical varint")
+
+func (r *payloadReader) uv() (uint64, error) {
+	n := r.r.Len()
+	v, err := binary.ReadUvarint(r.r)
+	if err == nil && n-r.r.Len() != binary.PutUvarint(r.tmp[:], v) {
+		err = errNonCanonical
+	}
+	return v, err
+}
+
+func (r *payloadReader) sv() (int64, error) {
+	n := r.r.Len()
+	v, err := binary.ReadVarint(r.r)
+	if err == nil && n-r.r.Len() != binary.PutVarint(r.tmp[:], v) {
+		err = errNonCanonical
+	}
+	return v, err
+}
+
+// nonNeg reads a uvarint that must fit a non-negative int64.
+func (r *payloadReader) nonNeg(what string) (int64, error) {
+	v, err := r.uv()
+	if err == nil && v > math.MaxInt64 {
+		err = fmt.Errorf("%s %d exceeds the int64 range", what, v)
+	}
+	return int64(v), err
+}
 
 func (r *payloadReader) f64() (float64, error) {
 	var b [8]byte
@@ -255,7 +299,7 @@ func decodePayload(payload []byte, version byte) ([]shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if count > maxSnapshotShards {
+	if count > maxSnapshotShards || count > uint64(r.r.Len()) {
 		return nil, fmt.Errorf("shard count %d exceeds limit", count)
 	}
 	states := make([]shardState, 0, count)
@@ -312,6 +356,9 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if err != nil {
 		return st, err
 	}
+	if fb > 1 {
+		return st, fmt.Errorf("fallback flag %d (want 0 or 1)", fb)
+	}
 	st.Core = core.State{Banks: int(banks), Pages: int64(pages), Timeout: simtime.Seconds(timeout), Fallback: fb != 0}
 	nc, err := r.uv()
 	if err != nil {
@@ -322,11 +369,16 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	}
 	if nc > 0 {
 		st.Core.Counters = make(map[string]int64, nc)
+		prev := ""
 		for j := uint64(0); j < nc; j++ {
 			k, err := r.str(1 << 10)
 			if err != nil {
 				return st, err
 			}
+			if j > 0 && k <= prev {
+				return st, fmt.Errorf("counter %q out of order after %q", k, prev)
+			}
+			prev = k
 			v, err := r.uv()
 			if err != nil {
 				return st, err
@@ -339,16 +391,16 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if err != nil {
 		return st, err
 	}
-	if np > 1<<32 {
-		return st, fmt.Errorf("stack size %d exceeds limit", np)
+	if np > uint64(r.r.Len()) { // every page takes at least a byte
+		return st, fmt.Errorf("stack size %d exceeds the payload", np)
 	}
 	st.StackPages = make([]int64, np)
 	for j := range st.StackPages {
-		v, err := r.uv()
-		if err != nil {
+		// Page numbers are non-negative: the LRU stack marks free slots
+		// with -1.
+		if st.StackPages[j], err = r.nonNeg("stack page"); err != nil {
 			return st, err
 		}
-		st.StackPages[j] = int64(v)
 	}
 	for _, p := range []*int64{&st.StackRefs, &st.StackColds, &st.CacheAcc, &st.Misses, &st.ReqRuns} {
 		v, err := r.uv()
@@ -362,32 +414,25 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if err != nil {
 		return st, err
 	}
-	if nl > 1<<32 {
-		return st, fmt.Errorf("log size %d exceeds limit", nl)
+	if nl > uint64(r.r.Len())/minLogRecord {
+		return st, fmt.Errorf("log size %d exceeds the payload", nl)
 	}
 	st.Log = make([]logRecord, nl)
 	for j := range st.Log {
-		rec := &st.Log[j]
-		if rec.Time, err = r.f64(); err != nil {
+		if err := r.logRecord(&st.Log[j], j); err != nil {
 			return st, err
 		}
-		v, err := r.uv()
-		if err != nil {
-			return st, err
+		if j > 0 && st.Log[j].Time < st.Log[j-1].Time {
+			return st, fmt.Errorf("log record %d: time %g before its predecessor's %g", j, st.Log[j].Time, st.Log[j-1].Time)
 		}
-		rec.Page = int64(v)
-		if rec.Depth, err = r.sv(); err != nil {
-			return st, err
-		}
-		if v, err = r.uv(); err != nil {
-			return st, err
-		}
-		rec.Bytes = int64(v)
 	}
 	if version >= 2 {
 		v, err := r.uv()
 		if err != nil {
 			return st, err
+		}
+		if v > snapModeStreamed {
+			return st, fmt.Errorf("unknown observation mode %d", v)
 		}
 		st.Mode = int64(v)
 		if v, err = r.uv(); err != nil {
@@ -415,6 +460,37 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 		st.Core.Level = int(v) // pre-v5 files leave it 0: full speed
 	}
 	return st, nil
+}
+
+// minLogRecord is the smallest encoding of a log record: an 8-byte time
+// and three one-byte varints.
+const minLogRecord = 11
+
+// logRecord decodes the j-th partial-period log record. Records must be
+// replayable into the manager: a finite time, a page number ≥ 0 (-1 is
+// the page-set empty-slot marker), a depth that is lrusim.Cold (-1) or
+// ≥ 1, and a byte count in the int64 range.
+func (r *payloadReader) logRecord(rec *logRecord, j int) error {
+	var err error
+	if rec.Time, err = r.f64(); err != nil {
+		return err
+	}
+	if math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0) {
+		return fmt.Errorf("log record %d: time %g not finite", j, rec.Time)
+	}
+	if rec.Page, err = r.nonNeg("log record page"); err != nil {
+		return fmt.Errorf("log record %d: %w", j, err)
+	}
+	if rec.Depth, err = r.sv(); err != nil {
+		return err
+	}
+	if rec.Depth != lrusim.Cold && rec.Depth < 1 {
+		return fmt.Errorf("log record %d: depth %d (want %d for cold or ≥ 1)", j, rec.Depth, lrusim.Cold)
+	}
+	if rec.Bytes, err = r.nonNeg("log record bytes"); err != nil {
+		return fmt.Errorf("log record %d: %w", j, err)
+	}
+	return nil
 }
 
 // writeSnapshotFile atomically replaces path with a snapshot of states

@@ -62,57 +62,54 @@ func runServeStream(t *testing.T, data []byte, cfg Config, opt StreamOptions) []
 // at a time (Shard.Ingest), in random-size blocks (Shard.IngestBatch),
 // or through the full ServeStream pipeline (block decode into a ring,
 // drained in blocks) — including a deliberately tiny ring that forces
-// constant producer backpressure. Both observation modes are covered;
-// incremental mode additionally exercises the flushed-watermark path.
+// constant producer backpressure, which also exercises the shard's
+// flushed-watermark path into the manager.
 func TestServeBatchedIngestMatches(t *testing.T) {
 	data, tr := encodeTrace(t, testTrace(t, 51))
-	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
-		cfg := testConfig(nil)
-		cfg.Decide = mode
-		want := runUninterrupted(t, tr, cfg)
-		if len(want) < 10 {
-			t.Fatalf("mode %v: reference run closed only %d periods", mode, len(want))
-		}
+	cfg := testConfig(nil)
+	want := runUninterrupted(t, tr, cfg)
+	if len(want) < 10 {
+		t.Fatalf("reference run closed only %d periods", len(want))
+	}
 
-		// Random-size direct batches.
-		log := &decisionLog{}
-		cfg.OnDecision = log.add
-		srv, err := New(cfg)
-		if err != nil {
+	// Random-size direct batches.
+	log := &decisionLog{}
+	cfg.OnDecision = log.add
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := srv.Shard("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < len(tr.Requests); {
+		j := i + 1 + rng.Intn(97)
+		if j > len(tr.Requests) {
+			j = len(tr.Requests)
+		}
+		if err := sh.IngestBatch(tr.Requests[i:j]); err != nil {
 			t.Fatal(err)
 		}
-		sh, err := srv.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < len(tr.Requests); {
-			j := i + 1 + rng.Intn(97)
-			if j > len(tr.Requests) {
-				j = len(tr.Requests)
-			}
-			if err := sh.IngestBatch(tr.Requests[i:j]); err != nil {
-				t.Fatal(err)
-			}
-			i = j
-		}
-		if err := sh.FinishTo(tr.Duration); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := log.list(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: IngestBatch decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
+		i = j
+	}
+	if err := sh.FinishTo(tr.Duration); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.list(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IngestBatch decision stream diverges (got %d, want %d decisions)", len(got), len(want))
+	}
 
-		if got := runServeStream(t, data, cfg, StreamOptions{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: ServeStream decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
-		tiny := StreamOptions{Ring: 8, Block: 3}
-		if got := runServeStream(t, data, cfg, tiny); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: ServeStream(tiny ring) decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
+	if got := runServeStream(t, data, cfg, StreamOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ServeStream decision stream diverges (got %d, want %d decisions)", len(got), len(want))
+	}
+	tiny := StreamOptions{Ring: 8, Block: 3}
+	if got := runServeStream(t, data, cfg, tiny); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ServeStream(tiny ring) decision stream diverges (got %d, want %d decisions)", len(got), len(want))
 	}
 }
 
@@ -125,7 +122,6 @@ func TestServeBatchedIngestMatches(t *testing.T) {
 func TestWarmRestartBatchedParity(t *testing.T) {
 	data, tr := encodeTrace(t, testTrace(t, 52))
 	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
 	want := runUninterrupted(t, tr, base)
 
 	for _, cut := range []int{1, len(tr.Requests) / 3, len(tr.Requests) - 1} {
@@ -198,7 +194,6 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 	tr := testTrace(t, 53)
 	run := func(drift float64, snap string) {
 		cfg := testConfig(&decisionLog{})
-		cfg.Decide = core.ModeIncremental
 		cfg.RefitDriftFrac = drift
 		cfg.SnapshotPath = snap
 		srv, err := New(cfg)
@@ -218,7 +213,6 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 	}
 	restart := func(drift float64, snap string) *Shard {
 		cfg := testConfig(&decisionLog{})
-		cfg.Decide = core.ModeIncremental
 		cfg.RefitDriftFrac = drift
 		cfg.SnapshotPath = snap
 		srv, err := New(cfg)
@@ -266,7 +260,6 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	// drift-configured server: the configured value must survive.
 	tr := testTrace(t, 54)
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +278,6 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	old.RefitDrift = -1
 
 	cfg2 := testConfig(&decisionLog{})
-	cfg2.Decide = core.ModeIncremental
 	cfg2.RefitDriftFrac = 0.05
 	srv2, err := New(cfg2)
 	if err != nil {
@@ -311,7 +303,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 	tr := testTrace(t, 55)
 	snap := filepath.Join(t.TempDir(), "daemon.snap")
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	cfg.SnapshotPath = snap
 	srv, err := New(cfg)
 	if err != nil {
@@ -345,7 +336,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 	}
 
 	cfg2 := testConfig(&decisionLog{})
-	cfg2.Decide = core.ModeIncremental
 	cfg2.SnapshotPath = snap
 	srv2, err := New(cfg2)
 	if err != nil {
@@ -370,7 +360,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 func TestIngestorBackpressure(t *testing.T) {
 	tr := testTrace(t, 56)
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

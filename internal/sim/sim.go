@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"jointpm/internal/cache"
 	"jointpm/internal/core"
@@ -49,13 +48,12 @@ type Config struct {
 	// defaults derived from this config.
 	Joint *core.Params
 
-	// Decide selects how the joint manager observes each period: batch
-	// (the default) collects the period's depth log and hands it to
-	// core.Manager.Decide at the boundary; incremental streams every
-	// reference through Manager.Ingest as it is served, so the boundary
-	// runs core.Manager.DecideIncremental — an O(banks + events) query.
-	// The two modes produce bit-identical decisions (and therefore
-	// bit-identical Results); see TestIncrementalModeMatchesBatch.
+	// Decide once selected between a batch and an incremental
+	// observation path.
+	//
+	// Deprecated: ignored. The joint engine always streams references
+	// into the manager (core.Manager.IngestBatch) as it serves them and
+	// runs core.Manager.DecideIncremental at each boundary.
 	Decide core.DecideMode
 
 	// RefitDriftFrac, when positive, activates the joint manager's
@@ -250,17 +248,18 @@ type engine struct {
 	disk  *disk.Disk
 	mem   *mem.Memory
 
-	adaptive    *policy.AdaptiveTimeout
-	manager     *core.Manager
-	incremental bool // stream refs through Ingest; decide via DecideIncremental
-	curBanks    int  // banks actually enabled (≠ decision under fault injection)
+	adaptive *policy.AdaptiveTimeout
+	manager  *core.Manager
+	curBanks int // banks actually enabled (≠ decision under fault injection)
 
 	zoned    *disk.ZonedDisk
 	lbaScale float64
 
-	stack     *lrusim.StackSim
-	periodLog []lrusim.DepthRecord
-	logBuf    *[]lrusim.DepthRecord // pooled backing array for periodLog
+	// stack annotates every page reference with its LRU stack depth; the
+	// records collect in block and reach the joint manager through one
+	// IngestBatch per full block and one at every period boundary.
+	stack *lrusim.StackSim
+	block []lrusim.DepthRecord
 
 	obsm engineMetrics
 
@@ -398,13 +397,9 @@ func newEngine(cfg Config) (*engine, error) {
 			return nil, err
 		}
 		e.manager = mgr
-		e.incremental = cfg.Decide == core.ModeIncremental
 		e.curBanks = totalBanks
 		e.stack = lrusim.NewStackSim(int(installedFrames))
-		if !e.incremental {
-			e.logBuf = depthLogs.Get().(*[]lrusim.DepthRecord)
-			e.periodLog = (*e.logBuf)[:0]
-		}
+		e.block = make([]lrusim.DepthRecord, 0, ingestBlock)
 	}
 	e.res.Method = cfg.Method
 	return e, nil
@@ -437,20 +432,22 @@ func (e *engine) run() (*Result, error) {
 		nextBoundary += period
 	}
 	e.finish(end)
-	if e.logBuf != nil {
-		// The manager consumes each period's log synchronously inside
-		// Decide, so the backing array can go back to the pool.
-		*e.logBuf = e.periodLog[:0]
-		depthLogs.Put(e.logBuf)
-		e.logBuf, e.periodLog = nil, nil
-	}
 	return &e.res, nil
 }
 
-// depthLogs pools the joint method's per-period depth-record buffer
-// across runs; a sweep reuses one grown array instead of re-growing it
-// for every method×point run.
-var depthLogs = sync.Pool{New: func() any { return new([]lrusim.DepthRecord) }}
+// ingestBlock is how many depth records the engine collects before
+// handing them to the joint manager in one IngestBatch call: large enough
+// to amortise the batch entry point's per-call work, small enough to stay
+// cache-resident.
+const ingestBlock = 4096
+
+// flushIngest hands the collected depth records to the joint manager.
+func (e *engine) flushIngest() {
+	if len(e.block) > 0 {
+		e.manager.IngestBatch(e.block)
+		e.block = e.block[:0]
+	}
+}
 
 // serve plays one client request: page-by-page cache lookup with lazy
 // disable checks, miss-run coalescing into disk requests, and latency
@@ -491,11 +488,9 @@ func (e *engine) serve(req *trace.Request) {
 
 		if e.stack != nil {
 			depth := e.stack.Reference(page)
-			rec := lrusim.DepthRecord{Time: t, Page: page, Depth: depth, Bytes: e.pageSize}
-			if e.incremental {
-				e.manager.Ingest(rec)
-			} else {
-				e.periodLog = append(e.periodLog, rec)
+			e.block = append(e.block, lrusim.DepthRecord{Time: t, Page: page, Depth: depth, Bytes: e.pageSize})
+			if len(e.block) == ingestBlock {
+				e.flushIngest()
 			}
 		}
 
@@ -601,6 +596,11 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	// from them shrinks the cache right before the reuse arrives, paying
 	// a staircase of refill storms to climb back. The paper's system
 	// manages an already-warm server.
+	if e.manager != nil {
+		// Every reference of the period reaches the manager before the
+		// boundary consumes (or discards) the ingested state.
+		e.flushIngest()
+	}
 	if e.manager != nil && t >= e.cfg.Warmup {
 		coalesce := 1.0
 		if w.Requests > 0 {
@@ -613,13 +613,7 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 			PeriodEnd:      stat.End,
 			CurrentBanks:   e.curBanks,
 		}
-		var dec core.Decision
-		if e.incremental {
-			dec = e.manager.DecideIncremental(obs)
-		} else {
-			obs.Log = e.periodLog
-			dec = e.manager.Decide(obs)
-		}
+		dec := e.manager.DecideIncremental(obs)
 		stat.Decision = &dec
 		// Apply the memory half first: with fault injection a bank enable
 		// can fail, truncating the usable contiguous prefix, and the cache
@@ -635,9 +629,8 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 		e.curBanks = achieved
 		stat.Banks = achieved
 		stat.Timeout = dec.Timeout
-	} else if e.manager != nil && e.incremental {
-		// Warmup boundary: drop the ingested references unexamined, the
-		// incremental counterpart of clearing the period log below.
+	} else if e.manager != nil {
+		// Warmup boundary: drop the ingested references unexamined.
 		e.manager.DiscardPeriod()
 	}
 	// Measured energy-attribution ledger for the window: component
@@ -657,7 +650,6 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 		e.cfg.Flight.Record(flight.PeriodRecord{
 			Disk:     "sim",
 			Period:   int64(e.periodIdx) + 1,
-			Mode:     e.cfg.Decide.String(),
 			StartS:   obs.Float(stat.Start),
 			EndS:     obs.Float(stat.End),
 			Refs:     stat.CacheAccesses,
@@ -674,7 +666,6 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	e.lastTotalLatency = e.res.TotalLatency
 
 	e.obsm.periodBanks.Set(float64(stat.Banks))
-	e.periodLog = e.periodLog[:0]
 
 	if t > e.cfg.Warmup {
 		e.res.Periods = append(e.res.Periods, stat)
