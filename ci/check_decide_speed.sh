@@ -6,12 +6,15 @@
 # shared hardware where absolute ns/op thresholds would flake.
 set -eu
 
+# Benchmark names carry a -N GOMAXPROCS suffix on multi-core hosts
+# (BenchmarkDecide-8); the patterns match the name with or without it.
+
 out="$(go test -run '^$' -bench '^BenchmarkDecide$|^BenchmarkDecideIncremental$' \
     -benchtime 100x ./internal/core/)"
 printf '%s\n' "$out"
 
-batch="$(printf '%s\n' "$out" | awk '/^BenchmarkDecide /{print $3}')"
-incr="$(printf '%s\n' "$out" | awk '/^BenchmarkDecideIncremental /{print $3}')"
+batch="$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkDecide(-[0-9]+)?$/ {print $3}')"
+incr="$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkDecideIncremental(-[0-9]+)?$/ {print $3}')"
 
 if [ -z "$batch" ] || [ -z "$incr" ]; then
     echo "FAIL: benchmarks did not both run"

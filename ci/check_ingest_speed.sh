@@ -7,12 +7,15 @@
 # hardware where absolute ns/op thresholds would flake.
 set -eu
 
+# Benchmark names carry a -N GOMAXPROCS suffix on multi-core hosts
+# (BenchmarkDecide-8); the patterns match the name with or without it.
+
 out="$(go test -run '^$' -bench '^BenchmarkIngest$|^BenchmarkIngestBatch$' \
     -benchtime 100x ./internal/core/)"
 printf '%s\n' "$out"
 
-perref="$(printf '%s\n' "$out" | awk '/^BenchmarkIngest /{print $3}')"
-batch="$(printf '%s\n' "$out" | awk '/^BenchmarkIngestBatch /{print $3}')"
+perref="$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkIngest(-[0-9]+)?$/ {print $3}')"
+batch="$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkIngestBatch(-[0-9]+)?$/ {print $3}')"
 
 if [ -z "$perref" ] || [ -z "$batch" ]; then
     echo "FAIL: benchmarks did not both run"

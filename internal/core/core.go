@@ -100,25 +100,7 @@ type Params struct {
 	// call. Nil disables the journal; the sink itself is buffered and
 	// non-blocking, so an attached journal never stalls a decision.
 	DecisionTrace *obs.DecisionSink
-
-	// SpanHook receives the manager's lifecycle span timings: one
-	// ("ingest", accumulated wall ns) and one ("decide", wall ns) per
-	// period boundary. The ingest span covers every Ingest/IngestBatch
-	// call since the previous boundary — for Decide, that includes
-	// folding obs.Log — and is delivered just before the decide span of
-	// the DecideIncremental/Decide call that consumes the references (or
-	// by DiscardPeriod, which delivers only the ingest span). Nil disables
-	// span timing
-	// entirely — the hot path takes no clock readings, so the disabled
-	// configuration is byte-identical to a build without the hook.
-	SpanHook func(span string, ns int64)
 }
-
-// Span names delivered to Params.SpanHook.
-const (
-	SpanDecide = "decide"
-	SpanIngest = "ingest"
-)
 
 // DefaultParams returns the paper's Table II values for the given
 // hardware shape.
@@ -302,10 +284,6 @@ type Manager struct {
 	// budgetW is the fleet coordinator's per-shard power budget in watts;
 	// 0 (the default) disables the constraint entirely. See budget.go.
 	budgetW float64
-
-	// ingestNs accumulates the current period's ingest span wall time;
-	// only touched when p.SpanHook is set (see Ingest/flushIngestSpan).
-	ingestNs int64
 }
 
 // NewManager validates params and creates a manager whose initial
@@ -353,9 +331,8 @@ func (m *Manager) Last() Decision { return m.last }
 // followed by DecideIncremental(obs): the log is folded into the
 // streaming observation state — on top of anything already ingested
 // since the last boundary — and the boundary query runs over it. Two
-// consequences of sharing that path: with RefitDriftFrac > 0 the drift
-// hold applies to Decide too, and a SpanHook sees an "ingest" span for
-// the log as well as the "decide" span.
+// consequence of sharing that path: with RefitDriftFrac > 0 the drift
+// hold applies to Decide too.
 func (m *Manager) Decide(obs Observation) Decision {
 	m.IngestBatch(obs.Log)
 	return m.DecideIncremental(obs)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"jointpm/internal/lrusim"
 	"jointpm/internal/pareto"
@@ -78,26 +77,16 @@ type decideScratch struct {
 // observation state. Records must arrive in time order. The accumulated
 // state is consumed (and cleared) by the next DecideIncremental or
 // DiscardPeriod call.
-//
-// With a SpanHook configured, Ingest accumulates its wall time into the
-// period's "ingest" span, flushed to the hook at the boundary that
-// consumes the references; without one it takes no clock readings.
 func (m *Manager) Ingest(rec lrusim.DepthRecord) {
 	if m.hist == nil {
 		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
 	}
-	if m.p.SpanHook == nil {
-		m.hist.Observe(rec)
-		return
-	}
-	start := time.Now()
 	m.hist.Observe(rec)
-	m.ingestNs += time.Since(start).Nanoseconds()
 }
 
 // IngestBatch streams a time-ordered block of depth-annotated references
 // into the incremental observation state: Ingest with the per-call nil
-// check, hook check, and Fenwick node walks hoisted out of the loop (see
+// check and Fenwick node walks hoisted out of the loop (see
 // lrusim.DepthHist.ObserveBatch). The resulting state is bit-identical
 // to ingesting the records one at a time.
 func (m *Manager) IngestBatch(recs []lrusim.DepthRecord) {
@@ -107,22 +96,7 @@ func (m *Manager) IngestBatch(recs []lrusim.DepthRecord) {
 	if m.hist == nil {
 		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
 	}
-	if m.p.SpanHook == nil {
-		m.hist.ObserveBatch(recs)
-		return
-	}
-	start := time.Now()
 	m.hist.ObserveBatch(recs)
-	m.ingestNs += time.Since(start).Nanoseconds()
-}
-
-// flushIngestSpan delivers the accumulated ingest span for the period
-// being consumed and resets the accumulator.
-func (m *Manager) flushIngestSpan() {
-	if hook := m.p.SpanHook; hook != nil {
-		hook(SpanIngest, m.ingestNs)
-		m.ingestNs = 0
-	}
 }
 
 // Hist exposes the incremental observation state for snapshot validation;
@@ -136,7 +110,6 @@ func (m *Manager) DiscardPeriod() {
 	if m.hist != nil {
 		m.hist.Reset()
 	}
-	m.flushIngestSpan()
 }
 
 // DecideIncremental decides over the references streamed through
@@ -146,18 +119,6 @@ func (m *Manager) DiscardPeriod() {
 // kept gaps) instead of O(references), and clears the ingested state for
 // the next period.
 func (m *Manager) DecideIncremental(o Observation) Decision {
-	hook := m.p.SpanHook
-	if hook == nil {
-		return m.decideIncremental(o)
-	}
-	m.flushIngestSpan()
-	start := time.Now()
-	d := m.decideIncremental(o)
-	hook(SpanDecide, time.Since(start).Nanoseconds())
-	return d
-}
-
-func (m *Manager) decideIncremental(o Observation) Decision {
 	m.met.decisions.Inc()
 	refs := int64(0)
 	if m.hist != nil {

@@ -157,17 +157,13 @@ func TestDiscardPeriodMatchesWarmupSkip(t *testing.T) {
 // Decide(o) is exactly IngestBatch(o.Log) followed by
 // DecideIncremental(o). A twin driven through the two calls must match
 // decision for decision with the drift hold enabled (which Decide now
-// honours), references ingested before the Decide call must count
-// towards its period, and a SpanHook must see one ingest and one decide
-// span per Decide.
+// honours), and references ingested before the Decide call must count
+// towards its period.
 func TestDecideIsIngestBatchPlusDecideIncremental(t *testing.T) {
 	p := testParams()
 	p.HysteresisFrac = 0.05
 	p.RefitDriftFrac = DefaultRefitDriftFrac
-	var spans []string
-	pHook := p
-	pHook.SpanHook = func(span string, ns int64) { spans = append(spans, span) }
-	whole, _ := NewManager(pHook)
+	whole, _ := NewManager(p)
 	split, _ := NewManager(p)
 
 	t0 := simtime.Seconds(0)
@@ -184,11 +180,7 @@ func TestDecideIsIngestBatchPlusDecideIncremental(t *testing.T) {
 		o = shiftObservation(o, t0)
 		t0 = o.PeriodEnd
 
-		spans = spans[:0]
 		want := whole.Decide(o)
-		if len(spans) != 2 || spans[0] != SpanIngest || spans[1] != SpanDecide {
-			t.Fatalf("period %d: Decide reported spans %v, want [ingest decide]", period, spans)
-		}
 		// Half the period arrives before the boundary; Decide hands over
 		// the rest.
 		half := len(o.Log) / 2

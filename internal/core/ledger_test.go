@@ -3,9 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"jointpm/internal/lrusim"
-	"jointpm/internal/simtime"
 )
 
 // TestPricedLedgerSums pins the attribution invariant: for a
@@ -82,52 +79,5 @@ func TestPricedLedgerFallback(t *testing.T) {
 	want = float64(p.MemSpec.NapPower()) * 3 * float64(p.Period)
 	if l.MemNapJ != want || l.TotalJ() != want {
 		t.Errorf("fallback ledger = %+v, want nap floor %g J only", l, want)
-	}
-}
-
-// TestSpanHook: the hook sees one ingest and one decide span per
-// boundary, whether the period arrives as a whole log through Decide or
-// streamed through Ingest; a nil hook takes no clock readings
-// (compile-time property, but the nil path must still decide identically
-// — covered by the equivalence suites).
-func TestSpanHook(t *testing.T) {
-	type span struct {
-		name string
-		ns   int64
-	}
-	var got []span
-	p := testParams()
-	p.SpanHook = func(name string, ns int64) { got = append(got, span{name, ns}) }
-	m, _ := NewManager(p)
-
-	obs := zipfObservation(p, 2000, 1<<12, 7)
-	m.Decide(obs)
-	if len(got) != 2 || got[0].name != SpanIngest || got[1].name != SpanDecide || got[1].ns < 0 {
-		t.Fatalf("Decide spans = %v, want [%q %q]", got, SpanIngest, SpanDecide)
-	}
-
-	got = nil
-	for i := range obs.Log {
-		m.Ingest(obs.Log[i])
-	}
-	m.DecideIncremental(Observation{
-		CacheAccesses:  obs.CacheAccesses,
-		CoalesceFactor: obs.CoalesceFactor,
-		PeriodStart:    obs.PeriodStart,
-		PeriodEnd:      obs.PeriodEnd,
-	})
-	if len(got) != 2 || got[0].name != SpanIngest || got[1].name != SpanDecide {
-		t.Fatalf("streamed spans = %v, want [%q %q]", got, SpanIngest, SpanDecide)
-	}
-	if got[0].ns <= 0 {
-		t.Errorf("ingest span = %d ns, want > 0 after %d references", got[0].ns, len(obs.Log))
-	}
-
-	// DiscardPeriod flushes the accumulated ingest span too.
-	got = nil
-	m.Ingest(lrusim.DepthRecord{Time: 0, Page: 1, Depth: lrusim.Cold, Bytes: simtime.KB})
-	m.DiscardPeriod()
-	if len(got) != 1 || got[0].name != SpanIngest {
-		t.Fatalf("DiscardPeriod spans = %v, want one %q", got, SpanIngest)
 	}
 }

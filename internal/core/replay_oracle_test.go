@@ -293,7 +293,7 @@ func delayCapCostSpinDown(intervals []float64, tc TimeoutChoice, T, pd, tbe floa
 // m's counters.
 func replayTwin(m *Manager) *Manager {
 	p := m.p
-	p.Metrics, p.DecisionTrace, p.SpanHook = nil, nil, nil
+	p.Metrics, p.DecisionTrace = nil, nil
 	return &Manager{p: p, last: m.last, budgetW: m.budgetW}
 }
 

@@ -145,8 +145,5 @@ func MergeParams(base, o Params) Params {
 	if o.DecisionTrace != nil {
 		base.DecisionTrace = o.DecisionTrace
 	}
-	if o.SpanHook != nil {
-		base.SpanHook = o.SpanHook
-	}
 	return base
 }

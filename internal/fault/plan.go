@@ -187,16 +187,22 @@ func (p Plan) withDefaults() Plan {
 
 // LoadPlan reads and validates a JSON fault plan.
 func LoadPlan(path string) (Plan, error) {
-	var p Plan
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return p, fmt.Errorf("fault: reading plan: %w", err)
+		return Plan{}, fmt.Errorf("fault: reading plan: %w", err)
 	}
+	p, err := ParsePlan(b)
+	if err != nil {
+		err = fmt.Errorf("fault: plan %s: %w", path, err)
+	}
+	return p, err
+}
+
+// ParsePlan decodes and validates a JSON fault plan.
+func ParsePlan(b []byte) (Plan, error) {
+	var p Plan
 	if err := json.Unmarshal(b, &p); err != nil {
-		return p, fmt.Errorf("fault: parsing plan %s: %w", path, err)
+		return p, fmt.Errorf("fault: parsing plan: %w", err)
 	}
-	if err := p.Validate(); err != nil {
-		return p, fmt.Errorf("fault: plan %s: %w", path, err)
-	}
-	return p, nil
+	return p, p.Validate()
 }

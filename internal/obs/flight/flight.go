@@ -110,6 +110,8 @@ const DefaultDepth = 64
 // cumulative energy ledger, safe for concurrent use. A nil *Recorder
 // is a valid disabled recorder.
 type Recorder struct {
+	depth int // ring capacity, fixed at construction (read without mu)
+
 	mu    sync.Mutex
 	ring  []PeriodRecord
 	next  int   // ring index the next Record lands in
@@ -123,7 +125,7 @@ func New(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultDepth
 	}
-	return &Recorder{ring: make([]PeriodRecord, 0, n)}
+	return &Recorder{depth: n, ring: make([]PeriodRecord, 0, n)}
 }
 
 // Enabled reports whether the recorder is live (non-nil).
@@ -137,12 +139,12 @@ func (r *Recorder) Record(rec PeriodRecord) {
 		return
 	}
 	r.mu.Lock()
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.depth {
 		r.ring = append(r.ring, rec)
 	} else {
 		r.ring[r.next] = rec
 	}
-	r.next = (r.next + 1) % cap(r.ring)
+	r.next = (r.next + 1) % r.depth
 	r.total++
 	r.sum.Add(rec.Energy)
 	r.mu.Unlock()
@@ -182,7 +184,7 @@ func (r *Recorder) Last(n int) []PeriodRecord {
 	// Oldest retained record sits at next when the ring has wrapped,
 	// at 0 otherwise.
 	start := 0
-	if ln == cap(r.ring) {
+	if ln == r.depth {
 		start = r.next
 	}
 	for i := ln - n; i < ln; i++ {
@@ -217,7 +219,7 @@ func (r *Recorder) Depth() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.ring)
+	return r.depth
 }
 
 // DecideNsQuantile returns the q-quantile (0 ≤ q ≤ 1) of DecideNs over

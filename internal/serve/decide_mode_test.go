@@ -50,7 +50,7 @@ func TestIncrementalDecisionStreamMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack := lrusim.NewStackSim(int(srv.installedPages))
+		stack := lrusim.NewStackSim(int(srv.cfg.InstalledMem / srv.cfg.PageSize))
 		next := 0
 		lines := bytes.Split(bytes.TrimSpace(shardJ.Bytes()), []byte("\n"))
 		if want := 15 - warmup; len(lines) != want {
@@ -251,16 +251,18 @@ func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 func TestSnapshotV1Read(t *testing.T) {
 	states := []shardState{{
 		Name:         "d0",
-		PeriodIdx:    3,
 		Consumed:     120,
 		NextBoundary: 480,
-		CurBanks:     64,
-		CurPages:     1024,
-		Core:         core.State{Banks: 64, Pages: 1024, Timeout: 5},
-		StackPages:   []int64{9, 4, 7},
-		StackRefs:    120,
-		StackColds:   10,
-		Log:          []logRecord{{Time: 361.5, Page: 7, Depth: -1, Bytes: 65536}},
+		ControllerState: core.ControllerState{
+			Periods:    3,
+			Banks:      64,
+			Pages:      1024,
+			Manager:    core.State{Banks: 64, Pages: 1024, Timeout: 5},
+			StackPages: []int64{9, 4, 7},
+			StackRefs:  120,
+			StackColds: 10,
+			Log:        []lrusim.DepthRecord{{Time: 361.5, Page: 7, Depth: -1, Bytes: 65536}},
+		},
 	}}
 	v1 := encodePayload(states, 1)
 

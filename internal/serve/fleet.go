@@ -26,7 +26,7 @@ func (sh *Shard) setBudget(w float64) {
 	} else {
 		sh.budgetW = 0
 	}
-	sh.mgr.SetPowerBudget(w)
+	sh.ctl.Manager().SetPowerBudget(w)
 	sh.mu.Unlock()
 }
 
@@ -54,8 +54,8 @@ func (sh *Shard) fleetEpochLocked() {
 // current (m, t_o), cumulative priced ledger).
 func (sh *Shard) fleetSummary(floorW float64) fleet.Summary {
 	sh.mu.Lock()
-	last := sh.mgr.Last()
-	periods := sh.periodIdx
+	last := sh.ctl.Manager().Last()
+	periods := sh.ctl.Periods()
 	refs := sh.refsTotal
 	sh.mu.Unlock()
 

@@ -24,7 +24,6 @@ import (
 
 	"jointpm/internal/core"
 	"jointpm/internal/disk"
-	"jointpm/internal/drpm"
 	"jointpm/internal/fault"
 	"jointpm/internal/fleet"
 	"jointpm/internal/mem"
@@ -160,13 +159,13 @@ func (c Config) withDefaults() (Config, error) {
 
 // Server hosts the per-disk shards and owns the checkpoint lifecycle.
 type Server struct {
-	cfg            Config
-	params         core.Params
-	installedPages int64
-	sem            chan struct{}
-	met            serveMetrics
-	started        time.Time
-	flightDepth    int // >0: per-shard flight recorders of this depth
+	cfg         Config
+	ctl         core.ControllerConfig // every shard's controller, less Timed
+	params      core.Params           // what ctl derives
+	sem         chan struct{}
+	met         serveMetrics
+	started     time.Time
+	flightDepth int // >0: per-shard flight recorders of this depth
 
 	// coord is the fleet power-cap coordinator; nil when PowerCapW leaves
 	// the server uncapped. fleetMu serialises reallocation epochs (any
@@ -200,36 +199,33 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	totalBanks := int(cfg.InstalledMem / cfg.BankSize)
-	p := core.DefaultParams(cfg.PageSize, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
-	p.Period = cfg.Period
-	if cfg.SpeedLevels > 1 {
-		lad := drpm.DeriveLevels(cfg.DiskSpec, 0, cfg.SpeedLevels)
-		p.SpeedLevels = lad.Levels
-		p.SpeedTransitionPerRPM = lad.TransitionPerRPM
+	ctl := core.ControllerConfig{
+		PageSize:       cfg.PageSize,
+		BankSize:       cfg.BankSize,
+		InstalledMem:   cfg.InstalledMem,
+		DiskSpec:       cfg.DiskSpec,
+		MemSpec:        cfg.MemSpec,
+		Period:         cfg.Period,
+		SpeedLevels:    cfg.SpeedLevels,
+		Joint:          cfg.Joint,
+		RefitDriftFrac: cfg.RefitDriftFrac,
+		Metrics:        cfg.Metrics,
+		DecisionTrace:  cfg.DecisionTrace,
+		WarmupPeriods:  cfg.WarmupPeriods,
+		RetainLog:      true,
 	}
-	if cfg.Joint != nil {
-		p = core.MergeParams(p, *cfg.Joint)
-	}
-	if cfg.RefitDriftFrac > 0 {
-		p.RefitDriftFrac = cfg.RefitDriftFrac
-	}
-	if cfg.Metrics != nil {
-		p.Metrics = cfg.Metrics
-	}
-	if cfg.DecisionTrace != nil {
-		p.DecisionTrace = cfg.DecisionTrace
-	}
+	p := ctl.Params()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		cfg:            cfg,
-		params:         p,
-		installedPages: int64(cfg.InstalledMem / cfg.PageSize),
-		sem:            make(chan struct{}, cfg.Workers),
-		met:            newServeMetrics(cfg.Metrics),
-		started:        time.Now(),
-		shards:         make(map[string]*Shard),
+		cfg:     cfg,
+		ctl:     ctl,
+		params:  p,
+		sem:     make(chan struct{}, cfg.Workers),
+		met:     newServeMetrics(cfg.Metrics),
+		started: time.Now(),
+		shards:  make(map[string]*Shard),
 	}
 	if cfg.FlightRecorder > 0 {
 		s.flightDepth = cfg.FlightRecorder
@@ -376,10 +372,8 @@ func (s *Server) snapshotState() []shardState {
 	out := make([]shardState, 0, len(shards))
 	for _, sh := range shards {
 		sh.mu.Lock()
-		st, log := sh.state()
+		out = append(out, sh.state())
 		sh.mu.Unlock()
-		st.Log = convertLog(log)
-		out = append(out, st)
 	}
 	return out
 }

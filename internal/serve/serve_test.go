@@ -226,26 +226,28 @@ func TestMultiDiskCheckpoint(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	in := []shardState{{
 		Name:         "sda",
-		PeriodIdx:    7,
 		Consumed:     12345,
 		NextBoundary: 960.0000000001,
-		CurBanks:     12,
-		CurPages:     3072,
-		Core: core.State{
-			Banks: 12, Pages: 3072,
-			Timeout:  simtime.Seconds(math.Inf(1)),
-			Fallback: true,
-			Counters: map[string]int64{"core.decide.calls": 7},
-		},
-		StackPages: []int64{5, 9, 1, 0, 42},
-		StackRefs:  999,
-		StackColds: 40,
-		CacheAcc:   17,
-		Misses:     3,
-		ReqRuns:    2,
-		Log: []logRecord{
-			{Time: 841.0000000000001, Page: 42, Depth: -1, Bytes: 65536},
-			{Time: 842.5, Page: 43, Depth: 17, Bytes: 65536},
+		Misses:       3,
+		ReqRuns:      2,
+		ControllerState: core.ControllerState{
+			Periods: 7,
+			Banks:   12,
+			Pages:   3072,
+			Manager: core.State{
+				Banks: 12, Pages: 3072,
+				Timeout:  simtime.Seconds(math.Inf(1)),
+				Fallback: true,
+				Counters: map[string]int64{"core.decide.calls": 7},
+			},
+			StackPages: []int64{5, 9, 1, 0, 42},
+			StackRefs:  999,
+			StackColds: 40,
+			Refs:       17,
+			Log: []lrusim.DepthRecord{
+				{Time: 841.0000000000001, Page: 42, Depth: -1, Bytes: 65536},
+				{Time: 842.5, Page: 43, Depth: 17, Bytes: 65536},
+			},
 		},
 		RefitDrift: 0.0625,
 	}, {
@@ -301,7 +303,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	payload := encodePayload([]shardState{{Name: "d0", NextBoundary: 120}}, snapshotVersion)
 	corrupt["padded varint"] = snapshotBytes(append([]byte{0x81, 0x00}, payload[1:]...), snapshotVersion)
 	unsorted := encodePayload([]shardState{{Name: "d0", NextBoundary: 120,
-		Core: core.State{Counters: map[string]int64{"a": 1, "b": 2}}}}, snapshotVersion)
+		ControllerState: core.ControllerState{Manager: core.State{Counters: map[string]int64{"a": 1, "b": 2}}}}}, snapshotVersion)
 	unsorted = bytes.Replace(unsorted, []byte("\x01a\x01\x01b\x02"), []byte("\x01b\x02\x01a\x01"), 1)
 	corrupt["unsorted counters"] = snapshotBytes(unsorted, snapshotVersion)
 	fb := append([]byte(nil), payload...)
@@ -323,19 +325,20 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	// replayed into the manager are rejected by the decoder with a
 	// described error — restore never reaches the depth histogram with
 	// them (a depth of 0 used to panic it).
-	badLogs := map[string]logRecord{
+	badLogs := map[string]lrusim.DepthRecord{
 		"zero depth":        {Time: 1, Page: 3, Depth: 0, Bytes: 1},
 		"depth below cold":  {Time: 1, Page: 3, Depth: -2, Bytes: 1},
 		"negative page":     {Time: 1, Page: -1, Depth: 2, Bytes: 1},
 		"negative bytes":    {Time: 1, Page: 3, Depth: 2, Bytes: -1},
-		"non-finite time":   {Time: math.Inf(1), Page: 3, Depth: 2, Bytes: 1},
+		"non-finite time":   {Time: simtime.Seconds(math.Inf(1)), Page: 3, Depth: 2, Bytes: 1},
 		"time out of order": {Time: -1, Page: 3, Depth: 2, Bytes: 1},
 	}
 	for name, rec := range badLogs {
 		p := filepath.Join(dir, "log.snap")
-		st := shardState{Name: "d0", NextBoundary: 120, CurBanks: 128, CurPages: 2048,
-			Core: core.State{Banks: 128, Pages: 2048, Timeout: 5},
-			Log:  []logRecord{{Time: 0, Page: 1, Depth: lrusim.Cold, Bytes: 1}, rec}}
+		st := shardState{Name: "d0", NextBoundary: 120, ControllerState: core.ControllerState{
+			Banks: 128, Pages: 2048,
+			Manager: core.State{Banks: 128, Pages: 2048, Timeout: 5},
+			Log:     []lrusim.DepthRecord{{Time: 0, Page: 1, Depth: lrusim.Cold, Bytes: 1}, rec}}}
 		if _, err := writeSnapshotFile(p, []shardState{st}); err != nil {
 			t.Fatal(err)
 		}

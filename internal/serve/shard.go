@@ -8,7 +8,6 @@ import (
 
 	"jointpm/internal/core"
 	"jointpm/internal/lrusim"
-	"jointpm/internal/obs"
 	"jointpm/internal/obs/flight"
 	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
@@ -27,10 +26,11 @@ type Decision struct {
 	Decision core.Decision
 }
 
-// Shard is the online controller for one disk: the extended-LRU stack,
-// the manager its references stream into, and the current period's depth
-// log (kept for the snapshot), deciding (m, t_o) at each period
-// boundary. One goroutine ingests; the server's checkpoint
+// Shard is the online host of one disk's core.Controller: it locks the
+// controller, predicts the disk traffic its references cause, publishes
+// the controller's decisions, and arms checkpoints and fleet epochs at
+// period boundaries. The controller retains the current period's depth
+// log for the snapshot. One goroutine ingests; the server's checkpoint
 // path locks the shard between requests, so a snapshot always lands on
 // a request boundary (never mid-request).
 type Shard struct {
@@ -38,25 +38,15 @@ type Shard struct {
 	srv  *Server
 
 	mu  sync.Mutex
-	mgr *core.Manager
+	ctl *core.Controller
 
-	stack    *lrusim.StackSim
-	pageSize simtime.Bytes
-	period   simtime.Seconds
-
-	// Mutable stream state, all covered by the snapshot.
-	periodIdx    int64 // periods closed so far
+	// Mutable stream state, all covered by the snapshot (with the
+	// controller's own).
 	consumed     int64 // requests ingested since stream start
 	nextBoundary simtime.Seconds
-	periodLog    []lrusim.DepthRecord
-	flushed      int   // periodLog prefix already fed to mgr
-	cacheAcc     int64 // page references this period
 	misses       int64 // predicted misses this period
 	reqRuns      int64 // coalesced disk requests this period
 	refsTotal    int64 // lifetime page references served (not snapshotted)
-
-	curBanks int
-	curPages int64
 
 	// ckptDue marks that a period boundary hit the snapshot cadence.
 	// The checkpoint itself runs after sh.mu is released — Checkpoint
@@ -91,25 +81,22 @@ type Shard struct {
 }
 
 func newShard(name string, srv *Server) (*Shard, error) {
-	mgr, err := core.NewManager(srv.params)
-	if err != nil {
-		return nil, fmt.Errorf("serve: shard %s: %w", name, err)
-	}
 	sh := &Shard{
 		name:         name,
 		srv:          srv,
-		mgr:          mgr,
-		stack:        lrusim.NewStackSim(int(srv.installedPages)),
-		pageSize:     srv.params.PageSize,
-		period:       srv.params.Period,
-		nextBoundary: srv.params.Period,
-		curBanks:     mgr.Last().Banks,
-		curPages:     mgr.Last().Pages,
+		nextBoundary: srv.cfg.Period,
 	}
 	if srv.flightDepth > 0 {
 		sh.rec = flight.New(srv.flightDepth)
 	}
 	sh.timed = sh.rec != nil || srv.cfg.Metrics != nil
+	cc := srv.ctl
+	cc.Timed = sh.timed
+	ctl, err := core.NewController(cc)
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %s: %w", name, err)
+	}
+	sh.ctl = ctl
 	return sh, nil
 }
 
@@ -132,38 +119,13 @@ func (sh *Shard) Consumed() int64 {
 func (sh *Shard) Periods() int64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.periodIdx
+	return sh.ctl.Periods()
 }
 
 // Ingest feeds one request, closing any period boundaries the request's
 // timestamp crosses first. Requests must arrive in time order.
 func (sh *Shard) Ingest(req trace.Request) error {
-	sh.mu.Lock()
-	err := func() error {
-		for req.Time >= sh.nextBoundary {
-			if err := sh.closePeriod(); err != nil {
-				return err
-			}
-			sh.fleetEpochLocked()
-		}
-		if sh.timed {
-			start := time.Now()
-			sh.serve(req)
-			sh.flushIngest()
-			sh.ingestNs += time.Since(start).Nanoseconds()
-		} else {
-			sh.serve(req)
-			sh.flushIngest()
-		}
-		return nil
-	}()
-	due, duePeriod := sh.ckptDue, sh.ckptPeriod
-	sh.ckptDue = false
-	sh.mu.Unlock()
-	if due && err == nil {
-		sh.dueCheckpoint(duePeriod)
-	}
-	return err
+	return sh.IngestBatch([]trace.Request{req})
 }
 
 // IngestBatch feeds a time-ordered block of requests under ONE lock
@@ -171,62 +133,38 @@ func (sh *Shard) Ingest(req trace.Request) error {
 // closed exactly where the request timestamps cross them — each request
 // lands in the same period, and each period sees the same log, as
 // one-at-a-time Ingest would produce, so the decision stream is
-// bit-identical (see TestServeBatchedIngestMatches). Between boundaries
-// the served records accumulate in the period log and reach the manager
-// through one IngestBatch per run instead of one Ingest per reference.
+// bit-identical (see TestServeBatchedIngestMatches).
 func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	sh.mu.Lock()
-	err := func() error {
+	return sh.locked(func() error {
 		for i := 0; i < len(reqs); {
-			for reqs[i].Time >= sh.nextBoundary {
-				if err := sh.closePeriod(); err != nil {
-					return err
-				}
-				sh.fleetEpochLocked()
+			if err := sh.closeThrough(reqs[i].Time); err != nil {
+				return err
 			}
 			// The run of requests strictly before the next boundary.
 			j := i + 1
 			for j < len(reqs) && reqs[j].Time < sh.nextBoundary {
 				j++
 			}
+			var start time.Time
 			if sh.timed {
-				start := time.Now()
-				for k := i; k < j; k++ {
-					sh.serve(reqs[k])
-				}
-				sh.flushIngest()
+				start = time.Now()
+			}
+			for _, req := range reqs[i:j] {
+				sh.serve(req)
+			}
+			// The run's references reach the manager now, so neither the
+			// boundary nor a checkpoint carries ingest work.
+			sh.ctl.Flush()
+			if sh.timed {
 				sh.ingestNs += time.Since(start).Nanoseconds()
-			} else {
-				for k := i; k < j; k++ {
-					sh.serve(reqs[k])
-				}
-				sh.flushIngest()
 			}
 			i = j
 		}
 		return nil
-	}()
-	due, duePeriod := sh.ckptDue, sh.ckptPeriod
-	sh.ckptDue = false
-	sh.mu.Unlock()
-	if due && err == nil {
-		sh.dueCheckpoint(duePeriod)
-	}
-	return err
-}
-
-// flushIngest hands the period log's unflushed suffix to the manager in
-// one block. Called with sh.mu held, before any boundary close consumes
-// the histogram and after every served run, so the manager always sees
-// exactly the period's log — just in blocks instead of single records.
-func (sh *Shard) flushIngest() {
-	if pend := sh.periodLog[sh.flushed:]; len(pend) > 0 {
-		sh.mgr.IngestBatch(pend)
-		sh.flushed = len(sh.periodLog)
-	}
+	})
 }
 
 // FinishTo closes every period boundary at or before t. The daemon
@@ -234,16 +172,14 @@ func (sh *Shard) flushIngest() {
 // clock tick during idle stretches, so decisions keep flowing without
 // traffic.
 func (sh *Shard) FinishTo(t simtime.Seconds) error {
+	return sh.locked(func() error { return sh.closeThrough(t) })
+}
+
+// locked runs fn under sh.mu, then the checkpoint a closed boundary
+// armed, outside the lock.
+func (sh *Shard) locked(fn func() error) error {
 	sh.mu.Lock()
-	err := func() error {
-		for t >= sh.nextBoundary {
-			if err := sh.closePeriod(); err != nil {
-				return err
-			}
-			sh.fleetEpochLocked()
-		}
-		return nil
-	}()
+	err := fn()
 	due, duePeriod := sh.ckptDue, sh.ckptPeriod
 	sh.ckptDue = false
 	sh.mu.Unlock()
@@ -251,6 +187,18 @@ func (sh *Shard) FinishTo(t simtime.Seconds) error {
 		sh.dueCheckpoint(duePeriod)
 	}
 	return err
+}
+
+// closeThrough closes every period boundary at or before t, running any
+// fleet epoch a boundary armed. Called with sh.mu held.
+func (sh *Shard) closeThrough(t simtime.Seconds) error {
+	for t >= sh.nextBoundary {
+		if err := sh.closePeriod(); err != nil {
+			return err
+		}
+		sh.fleetEpochLocked()
+	}
+	return nil
 }
 
 // dueCheckpoint runs the cadence checkpoint outside the shard lock,
@@ -268,12 +216,12 @@ func (sh *Shard) dueCheckpoint(period int64) {
 	sh.rec.AmendCheckpoint(sh.name, period, ns)
 }
 
-// serve references each page of the request, logging depths and
-// predicting the disk traffic the request causes at the currently
-// applied memory size: a page hits iff its stack depth is within the
-// chosen resident capacity (Mattson's inclusion property), and
-// consecutive missing pages coalesce into one disk request, mirroring
-// the simulator's run coalescing.
+// serve references each page of the request through the controller and
+// predicts the disk traffic the request causes at the currently applied
+// memory size: a page hits iff its stack depth is within the chosen
+// resident capacity (Mattson's inclusion property), and consecutive
+// missing pages coalesce into one disk request, mirroring the
+// simulator's run coalescing.
 func (sh *Shard) serve(req trace.Request) {
 	var runStart, runLen int64 = -1, 0
 	flush := func() {
@@ -282,17 +230,11 @@ func (sh *Shard) serve(req trace.Request) {
 			runStart, runLen = -1, 0
 		}
 	}
+	resident := sh.ctl.Pages()
 	for k := int32(0); k < req.Pages; k++ {
 		page := req.FirstPage + int64(k)
-		sh.cacheAcc++
-		depth := sh.stack.Reference(page)
-		rec := lrusim.DepthRecord{Time: req.Time, Page: page, Depth: depth, Bytes: sh.pageSize}
-		// The log is the snapshot's replayable form of the partial
-		// period (see restore). The manager sees it in blocks — the
-		// caller flushes the unfed suffix through flushIngest after each
-		// run.
-		sh.periodLog = append(sh.periodLog, rec)
-		hit := depth != lrusim.Cold && int64(depth) <= sh.curPages
+		depth := sh.ctl.Reference(req.Time, page)
+		hit := depth != lrusim.Cold && int64(depth) <= resident
 		if hit {
 			flush()
 			continue
@@ -310,73 +252,37 @@ func (sh *Shard) serve(req trace.Request) {
 	sh.refsTotal += int64(req.Pages)
 }
 
-// closePeriod ends the current period: during warmup the ingested
-// references are discarded and the manager's held default is
-// republished; afterwards the manager decides over them under the
-// server's decide semaphore. Called with sh.mu held.
+// closePeriod ends the current period through the controller — which
+// discards it during warmup and otherwise decides, under the server's
+// decide semaphore — then publishes the decision. Called with sh.mu held.
 //
 // With introspection enabled (sh.timed) the boundary is traced: Decide
 // wall time, per-reference ingest cost, and boundary-to-emit latency
 // land in the serve histograms, the decision's priced energy ledger is
 // accumulated, and a PeriodRecord is cut into the flight recorder.
 func (sh *Shard) closePeriod() error {
-	idx := sh.periodIdx + 1
+	idx := sh.ctl.Periods() + 1
 	if sh.srv.cfg.Injector.CrashAtPeriodBoundary(idx) {
 		return ErrCrashInjected
 	}
-	// Every served record must reach the manager before the histogram is
-	// consumed. The ingest paths flush after each run, so this is a
-	// no-op unless a caller served without flushing.
-	sh.flushIngest()
 	var boundaryStart time.Time
 	if sh.timed {
 		boundaryStart = time.Now()
 	}
-	end := sh.nextBoundary
-	start := end - sh.period
-	refs := sh.cacheAcc
-
-	warmup := idx <= int64(sh.srv.cfg.WarmupPeriods)
-	var dec core.Decision
-	var decideNs int64
-	if !warmup {
-		coalesce := 1.0
-		if sh.reqRuns > 0 {
-			coalesce = float64(sh.misses) / float64(sh.reqRuns)
-		}
-		obs := core.Observation{
-			CacheAccesses:  sh.cacheAcc,
-			CoalesceFactor: coalesce,
-			PeriodStart:    start,
-			PeriodEnd:      end,
-			CurrentBanks:   sh.curBanks,
-		}
+	deciding := !sh.ctl.Warming()
+	if deciding {
 		sh.srv.acquire()
-		var decideStart time.Time
-		if sh.timed {
-			decideStart = time.Now()
-		}
-		dec = sh.mgr.DecideIncremental(obs)
-		if sh.timed {
-			decideNs = time.Since(decideStart).Nanoseconds()
-		}
-		sh.srv.release()
-		sh.curBanks = dec.Banks
-		sh.curPages = dec.Pages
-	} else {
-		sh.mgr.DiscardPeriod()
-		dec = sh.mgr.Last()
 	}
-
-	ingestNs := sh.ingestNs
+	dec, rec := sh.ctl.Close(sh.nextBoundary, sh.misses, sh.reqRuns)
+	if deciding {
+		sh.srv.release()
+	}
+	rec.Disk = sh.name
+	rec.IngestNs = sh.ingestNs
 	sh.ingestNs = 0
-	sh.periodLog = sh.periodLog[:0]
-	sh.flushed = 0
-	sh.cacheAcc = 0
 	sh.misses = 0
 	sh.reqRuns = 0
-	sh.periodIdx = idx
-	sh.nextBoundary += sh.period
+	sh.nextBoundary += sh.srv.cfg.Period
 
 	var emitStart time.Time
 	if sh.timed {
@@ -391,30 +297,17 @@ func (sh *Shard) closePeriod() error {
 		emitNs := time.Since(emitStart).Nanoseconds()
 		led := dec.PricedLedger(sh.srv.params)
 		met := &sh.srv.met
-		if !warmup {
-			met.decideWall.Observe(float64(decideNs) / 1e9)
+		if !rec.Warmup {
+			met.decideWall.Observe(float64(rec.DecideNs) / 1e9)
 		}
-		if refs > 0 {
-			met.ingestPerRef.Observe(float64(ingestNs) / float64(refs))
+		if rec.Refs > 0 {
+			met.ingestPerRef.Observe(float64(rec.IngestNs) / float64(rec.Refs))
 		}
 		met.boundaryToEmit.Observe(time.Since(boundaryStart).Seconds())
 		met.addEnergy(led)
 		if sh.rec != nil {
-			rec := flight.PeriodRecord{
-				Disk:     sh.name,
-				Period:   idx,
-				StartS:   obs.Float(start),
-				EndS:     obs.Float(end),
-				Refs:     refs,
-				IngestNs: ingestNs,
-				DecideNs: decideNs,
-				EmitNs:   emitNs,
-				Banks:    dec.Banks,
-				TimeoutS: obs.Float(dec.Timeout),
-				Fallback: dec.Fallback,
-				Warmup:   warmup,
-				Energy:   led,
-			}
+			rec.EmitNs = emitNs
+			rec.Energy = led
 			if sh.srv.coord != nil {
 				rec.PowerW = float64(dec.Chosen.TotalPower)
 				rec.BudgetW = sh.budgetW
@@ -435,50 +328,21 @@ func (sh *Shard) closePeriod() error {
 	return nil
 }
 
-// state captures the shard's snapshot payload. Called with sh.mu held.
-// The period log leaves the critical section as one raw copy; the
-// caller converts it to the snapshot's record form outside the lock
-// (convertLog), so an ingesting connection is stalled for a memcpy, not
-// an element-wise conversion, while a checkpoint marks the shard.
-func (sh *Shard) state() (shardState, []lrusim.DepthRecord) {
-	refs, colds := sh.stack.Counters()
-	st := shardState{
-		Name:         sh.name,
-		PeriodIdx:    sh.periodIdx,
-		Consumed:     sh.consumed,
-		NextBoundary: float64(sh.nextBoundary),
-		CurBanks:     int64(sh.curBanks),
-		CurPages:     sh.curPages,
-		Core:         sh.mgr.Snapshot(),
-		StackPages:   sh.stack.SnapshotPages(),
-		StackRefs:    refs,
-		StackColds:   colds,
-		CacheAcc:     sh.cacheAcc,
-		Misses:       sh.misses,
-		ReqRuns:      sh.reqRuns,
-		RefitDrift:   sh.mgr.Params().RefitDriftFrac,
-		BudgetW:      sh.budgetW,
-		Mode:         snapModeStreamed,
+// state captures the shard's snapshot payload. Called with sh.mu held;
+// the controller's checkpoint copies the period log, so an ingesting
+// connection is stalled for a memcpy while a checkpoint marks the shard.
+func (sh *Shard) state() shardState {
+	return shardState{
+		Name:            sh.name,
+		Consumed:        sh.consumed,
+		NextBoundary:    float64(sh.nextBoundary),
+		Misses:          sh.misses,
+		ReqRuns:         sh.reqRuns,
+		ControllerState: sh.ctl.State(),
+		RefitDrift:      sh.ctl.Manager().Params().RefitDriftFrac,
+		BudgetW:         sh.budgetW,
+		Mode:            snapModeStreamed,
 	}
-	if h := sh.mgr.Hist(); h != nil {
-		st.IngestedRefs = h.Refs()
-	}
-	return st, append([]lrusim.DepthRecord(nil), sh.periodLog...)
-}
-
-// convertLog is the outside-the-lock half of state: the element-wise
-// conversion of the copied period log into the snapshot's record form.
-func convertLog(log []lrusim.DepthRecord) []logRecord {
-	out := make([]logRecord, len(log))
-	for i, r := range log {
-		out[i] = logRecord{
-			Time:  float64(r.Time),
-			Page:  r.Page,
-			Depth: int64(r.Depth),
-			Bytes: int64(r.Bytes),
-		}
-	}
-	return out
 }
 
 // restore rehydrates the shard from a snapshot payload. Called before
@@ -486,24 +350,35 @@ func convertLog(log []lrusim.DepthRecord) []logRecord {
 func (sh *Shard) restore(st shardState) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 {
+	if st.Periods < 0 || st.Consumed < 0 || st.Refs < 0 || st.Misses < 0 || st.ReqRuns < 0 {
 		return fmt.Errorf("serve: shard %s: negative counters in snapshot", st.Name)
 	}
-	if nb := simtime.Seconds(st.NextBoundary); !(nb > 0) || !(nb+sh.period > nb) {
+	if nb := simtime.Seconds(st.NextBoundary); !(nb > 0) || !(nb+sh.srv.cfg.Period > nb) {
 		// Also rejects +Inf and boundaries so large that adding a period
 		// no longer advances them: closing a period must move the
 		// boundary forward.
 		return fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
 	}
-	if err := sh.mgr.Restore(st.Core); err != nil {
+	// The controller replays the partial period into its manager —
+	// ingest is deterministic, so the histogram and gap log land exactly
+	// where the checkpointed run had them. A snapshot cut by a streaming
+	// daemon recorded its ingested reference count, which the replay must
+	// reproduce; files cut in the retired batch mode carry no count and
+	// restore the same way.
+	got, err := sh.ctl.Restore(st.ControllerState)
+	if err != nil {
 		return fmt.Errorf("serve: shard %s: %w", st.Name, err)
 	}
+	if st.Mode == snapModeStreamed && got != st.IngestedRefs {
+		return fmt.Errorf("serve: shard %s: ingested state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
+	}
+	mgr := sh.ctl.Manager()
 	if st.RefitDrift >= 0 {
 		// The snapshot records the drift-hold fraction the checkpointed
 		// daemon ran with; adopt it so a warm restart keeps the mode even
 		// when the new process's flags differ. Pre-v3 snapshots carry -1
 		// and leave the configured value alone.
-		sh.mgr.SetRefitDriftFrac(st.RefitDrift)
+		mgr.SetRefitDriftFrac(st.RefitDrift)
 	}
 	if st.BudgetW > 0 {
 		// Resume the fleet budget the checkpointed daemon was running
@@ -512,43 +387,11 @@ func (sh *Shard) restore(st shardState) error {
 		// Pre-v4 snapshots decode 0 and leave the shard uncapped until the
 		// first epoch.
 		sh.budgetW = st.BudgetW
-		sh.mgr.SetPowerBudget(st.BudgetW)
+		mgr.SetPowerBudget(st.BudgetW)
 	}
-	sh.stack = lrusim.RestoreStackSim(int(sh.srv.installedPages), st.StackPages, st.StackRefs, st.StackColds)
-	sh.periodIdx = st.PeriodIdx
 	sh.consumed = st.Consumed
 	sh.nextBoundary = simtime.Seconds(st.NextBoundary)
-	sh.curBanks = int(st.CurBanks)
-	sh.curPages = st.CurPages
-	sh.cacheAcc = st.CacheAcc
 	sh.misses = st.Misses
 	sh.reqRuns = st.ReqRuns
-	sh.periodLog = sh.periodLog[:0]
-	for _, r := range st.Log {
-		sh.periodLog = append(sh.periodLog, lrusim.DepthRecord{
-			Time:  simtime.Seconds(r.Time),
-			Page:  r.Page,
-			Depth: int(r.Depth),
-			Bytes: simtime.Bytes(r.Bytes),
-		})
-	}
-	// Rebuild the streaming observation state by replaying the partial
-	// period — ingest is deterministic (and the block entry point is
-	// bit-identical to record-at-a-time), so the histogram and gap log
-	// land exactly where the checkpointed run had them. A snapshot cut by
-	// a streaming daemon recorded its ingested reference count, which the
-	// replay must reproduce; files cut in the retired batch mode carry no
-	// count and restore the same way.
-	sh.mgr.IngestBatch(sh.periodLog)
-	sh.flushed = len(sh.periodLog)
-	if st.Mode == snapModeStreamed {
-		var got int64
-		if h := sh.mgr.Hist(); h != nil {
-			got = h.Refs()
-		}
-		if got != st.IngestedRefs {
-			return fmt.Errorf("serve: shard %s: ingested state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
-		}
-	}
 	return nil
 }

@@ -79,41 +79,25 @@ const (
 // errNoSnapshot marks "no checkpoint exists yet" — a cold start.
 var errNoSnapshot = errors.New("serve: no snapshot")
 
-// logRecord is one depth-log entry in the snapshot payload.
-type logRecord struct {
-	Time  float64 // float64 bits of the request time
-	Page  int64
-	Depth int64 // lrusim depth; -1 = Cold
-	Bytes int64
-}
-
-// shardState is one shard's snapshot payload.
+// shardState is one shard's snapshot payload: the controller's
+// checkpoint (periods closed, applied size, manager, LRU stack, the
+// partial period's reference count and depth log, ingested-reference
+// count) plus the shard's own stream position and counters.
 type shardState struct {
 	Name         string
-	PeriodIdx    int64
 	Consumed     int64
 	NextBoundary float64
-	CurBanks     int64
-	CurPages     int64
-	Core         core.State
-	StackPages   []int64
-	StackRefs    int64
-	StackColds   int64
-	CacheAcc     int64
 	Misses       int64
 	ReqRuns      int64
-	Log          []logRecord
+	core.ControllerState
 
-	// Ingested-state section (snapshot v2): the observation mode the
-	// shard was running (snapModeStreamed, or snapModeBatch for files cut
-	// by daemons that still had a batch mode) and how many references its
-	// manager had ingested into the streaming depth histogram when the
-	// checkpoint was cut. The histogram itself is not serialised — the
-	// partial-period Log is its replayable form — so Mode/IngestedRefs
-	// exist to validate that a restore's replay reconstructed exactly the
-	// state the snapshot saw.
-	Mode         int64
-	IngestedRefs int64
+	// Mode (snapshot v2) is the observation mode the shard was running
+	// (snapModeStreamed, or snapModeBatch for files cut by daemons that
+	// still had a batch mode); v2 also added IngestedRefs. The histogram
+	// itself is not serialised — the partial-period Log is its
+	// replayable form — so Mode/IngestedRefs exist to validate that a
+	// restore's replay reconstructed exactly the state the snapshot saw.
+	Mode int64
 
 	// RefitDrift (snapshot v3) is the steady-state drift-hold fraction
 	// the shard's manager was running when the checkpoint was cut, so a
@@ -163,16 +147,16 @@ func encodePayload(states []shardState, version byte) []byte {
 	w.uv(uint64(len(states)))
 	for _, st := range states {
 		w.str(st.Name)
-		w.uv(uint64(st.PeriodIdx))
+		w.uv(uint64(st.Periods))
 		w.uv(uint64(st.Consumed))
 		w.f64(st.NextBoundary)
-		w.uv(uint64(st.CurBanks))
-		w.uv(uint64(st.CurPages))
+		w.uv(uint64(st.Banks))
+		w.uv(uint64(st.Pages))
 
-		w.uv(uint64(st.Core.Banks))
-		w.uv(uint64(st.Core.Pages))
-		w.f64(float64(st.Core.Timeout))
-		if st.Core.Fallback {
+		w.uv(uint64(st.Manager.Banks))
+		w.uv(uint64(st.Manager.Pages))
+		w.f64(float64(st.Manager.Timeout))
+		if st.Manager.Fallback {
 			w.buf.WriteByte(1)
 		} else {
 			w.buf.WriteByte(0)
@@ -180,11 +164,11 @@ func encodePayload(states []shardState, version byte) []byte {
 		// Counter names sort at encode time via core's fixed visit order;
 		// we keep map iteration out of the payload by emitting the
 		// key/value pairs sorted.
-		keys := sortedKeys(st.Core.Counters)
+		keys := sortedKeys(st.Manager.Counters)
 		w.uv(uint64(len(keys)))
 		for _, k := range keys {
 			w.str(k)
-			w.uv(uint64(st.Core.Counters[k]))
+			w.uv(uint64(st.Manager.Counters[k]))
 		}
 
 		w.uv(uint64(len(st.StackPages)))
@@ -194,14 +178,14 @@ func encodePayload(states []shardState, version byte) []byte {
 		w.uv(uint64(st.StackRefs))
 		w.uv(uint64(st.StackColds))
 
-		w.uv(uint64(st.CacheAcc))
+		w.uv(uint64(st.Refs))
 		w.uv(uint64(st.Misses))
 		w.uv(uint64(st.ReqRuns))
 		w.uv(uint64(len(st.Log)))
 		for _, r := range st.Log {
-			w.f64(r.Time)
+			w.f64(float64(r.Time))
 			w.uv(uint64(r.Page))
-			w.sv(r.Depth)
+			w.sv(int64(r.Depth))
 			w.uv(uint64(r.Bytes))
 		}
 		if version >= 2 {
@@ -215,7 +199,7 @@ func encodePayload(states []shardState, version byte) []byte {
 			w.f64(st.BudgetW)
 		}
 		if version >= 5 {
-			w.uv(uint64(st.Core.Level))
+			w.uv(uint64(st.Manager.Level))
 		}
 	}
 	return w.buf.Bytes()
@@ -322,8 +306,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if st.Name, err = r.str(1 << 10); err != nil {
 		return st, err
 	}
-	ivs := []*int64{&st.PeriodIdx, &st.Consumed}
-	for _, p := range ivs {
+	for _, p := range []*int64{&st.Periods, &st.Consumed} {
 		v, err := r.uv()
 		if err != nil {
 			return st, err
@@ -333,13 +316,15 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if st.NextBoundary, err = r.f64(); err != nil {
 		return st, err
 	}
-	for _, p := range []*int64{&st.CurBanks, &st.CurPages} {
+	var curBanks int64
+	for _, p := range []*int64{&curBanks, &st.Pages} {
 		v, err := r.uv()
 		if err != nil {
 			return st, err
 		}
 		*p = int64(v)
 	}
+	st.Banks = int(curBanks)
 
 	var banks, pages uint64
 	if banks, err = r.uv(); err != nil {
@@ -359,7 +344,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if fb > 1 {
 		return st, fmt.Errorf("fallback flag %d (want 0 or 1)", fb)
 	}
-	st.Core = core.State{Banks: int(banks), Pages: int64(pages), Timeout: simtime.Seconds(timeout), Fallback: fb != 0}
+	st.Manager = core.State{Banks: int(banks), Pages: int64(pages), Timeout: simtime.Seconds(timeout), Fallback: fb != 0}
 	nc, err := r.uv()
 	if err != nil {
 		return st, err
@@ -368,7 +353,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 		return st, fmt.Errorf("counter count %d exceeds limit", nc)
 	}
 	if nc > 0 {
-		st.Core.Counters = make(map[string]int64, nc)
+		st.Manager.Counters = make(map[string]int64, nc)
 		prev := ""
 		for j := uint64(0); j < nc; j++ {
 			k, err := r.str(1 << 10)
@@ -383,7 +368,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 			if err != nil {
 				return st, err
 			}
-			st.Core.Counters[k] = int64(v)
+			st.Manager.Counters[k] = int64(v)
 		}
 	}
 
@@ -402,7 +387,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 			return st, err
 		}
 	}
-	for _, p := range []*int64{&st.StackRefs, &st.StackColds, &st.CacheAcc, &st.Misses, &st.ReqRuns} {
+	for _, p := range []*int64{&st.StackRefs, &st.StackColds, &st.Refs, &st.Misses, &st.ReqRuns} {
 		v, err := r.uv()
 		if err != nil {
 			return st, err
@@ -417,13 +402,13 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if nl > uint64(r.r.Len())/minLogRecord {
 		return st, fmt.Errorf("log size %d exceeds the payload", nl)
 	}
-	st.Log = make([]logRecord, nl)
+	st.Log = make([]lrusim.DepthRecord, nl)
 	for j := range st.Log {
 		if err := r.logRecord(&st.Log[j], j); err != nil {
 			return st, err
 		}
 		if j > 0 && st.Log[j].Time < st.Log[j-1].Time {
-			return st, fmt.Errorf("log record %d: time %g before its predecessor's %g", j, st.Log[j].Time, st.Log[j-1].Time)
+			return st, fmt.Errorf("log record %d: time %g before its predecessor's %g", j, float64(st.Log[j].Time), float64(st.Log[j-1].Time))
 		}
 	}
 	if version >= 2 {
@@ -457,7 +442,7 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 		if err != nil {
 			return st, err
 		}
-		st.Core.Level = int(v) // pre-v5 files leave it 0: full speed
+		st.Manager.Level = int(v) // pre-v5 files leave it 0: full speed
 	}
 	return st, nil
 }
@@ -470,26 +455,31 @@ const minLogRecord = 11
 // replayable into the manager: a finite time, a page number ≥ 0 (-1 is
 // the page-set empty-slot marker), a depth that is lrusim.Cold (-1) or
 // ≥ 1, and a byte count in the int64 range.
-func (r *payloadReader) logRecord(rec *logRecord, j int) error {
-	var err error
-	if rec.Time, err = r.f64(); err != nil {
+func (r *payloadReader) logRecord(rec *lrusim.DepthRecord, j int) error {
+	t, err := r.f64()
+	if err != nil {
 		return err
 	}
-	if math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0) {
-		return fmt.Errorf("log record %d: time %g not finite", j, rec.Time)
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("log record %d: time %g not finite", j, t)
 	}
+	rec.Time = simtime.Seconds(t)
 	if rec.Page, err = r.nonNeg("log record page"); err != nil {
 		return fmt.Errorf("log record %d: %w", j, err)
 	}
-	if rec.Depth, err = r.sv(); err != nil {
+	depth, err := r.sv()
+	if err != nil {
 		return err
 	}
-	if rec.Depth != lrusim.Cold && rec.Depth < 1 {
-		return fmt.Errorf("log record %d: depth %d (want %d for cold or ≥ 1)", j, rec.Depth, lrusim.Cold)
+	if depth != lrusim.Cold && depth < 1 {
+		return fmt.Errorf("log record %d: depth %d (want %d for cold or ≥ 1)", j, depth, lrusim.Cold)
 	}
-	if rec.Bytes, err = r.nonNeg("log record bytes"); err != nil {
+	rec.Depth = int(depth)
+	n, err := r.nonNeg("log record bytes")
+	if err != nil {
 		return fmt.Errorf("log record %d: %w", j, err)
 	}
+	rec.Bytes = simtime.Bytes(n)
 	return nil
 }
 

@@ -28,24 +28,26 @@ func fuzzSeedStates(f *testing.F) [][]shardState {
 		}
 	}
 	sh.mu.Lock()
-	st, log := sh.state()
+	st := sh.state()
 	sh.mu.Unlock()
-	st.Log = convertLog(log[:min(len(log), 64)])
+	st.Log = st.Log[:min(len(st.Log), 64)]
 	st.IngestedRefs = int64(len(st.Log))
 	st.StackPages = st.StackPages[:min(len(st.StackPages), 64)]
 	return [][]shardState{{st}, {{
 		Name:         "d0",
-		PeriodIdx:    3,
 		Consumed:     120,
 		NextBoundary: 480,
-		CurBanks:     64,
-		CurPages:     1024,
-		Core:         core.State{Banks: 64, Pages: 1024, Timeout: 5, Counters: map[string]int64{"core.decide.calls": 3}},
-		StackPages:   []int64{9, 4, 7},
-		StackRefs:    120,
-		StackColds:   10,
-		Log:          []logRecord{{Time: 361.5, Page: 7, Depth: lrusim.Cold, Bytes: 65536}, {Time: 362, Page: 9, Depth: 2, Bytes: 65536}},
-		RefitDrift:   -1,
+		ControllerState: core.ControllerState{
+			Periods:    3,
+			Banks:      64,
+			Pages:      1024,
+			Manager:    core.State{Banks: 64, Pages: 1024, Timeout: 5, Counters: map[string]int64{"core.decide.calls": 3}},
+			StackPages: []int64{9, 4, 7},
+			StackRefs:  120,
+			StackColds: 10,
+			Log:        []lrusim.DepthRecord{{Time: 361.5, Page: 7, Depth: lrusim.Cold, Bytes: 65536}, {Time: 362, Page: 9, Depth: 2, Bytes: 65536}},
+		},
+		RefitDrift: -1,
 	}}}
 }
 
@@ -89,8 +91,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if err := sh.FinishTo(sh.nextBoundary); err != nil {
 				t.Fatalf("closing the restored period: %v", err)
 			}
-			if got := sh.Periods(); got != st.PeriodIdx+1 {
-				t.Fatalf("closed to period %d, want %d", got, st.PeriodIdx+1)
+			if got := sh.Periods(); got != st.Periods+1 {
+				t.Fatalf("closed to period %d, want %d", got, st.Periods+1)
 			}
 		}
 	})

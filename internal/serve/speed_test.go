@@ -130,7 +130,7 @@ func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh.mu.Lock()
-		lvl := sh.mgr.Last().Level
+		lvl := sh.ctl.Manager().Last().Level
 		sh.mu.Unlock()
 		if lvl > 0 {
 			break
@@ -140,7 +140,7 @@ func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if lvl := states[0].Core.Level; lvl == 0 {
+	if lvl := states[0].Manager.Level; lvl == 0 {
 		t.Fatal("captured state still at full speed; scenario broken")
 	}
 
@@ -148,8 +148,8 @@ func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
 		version   byte
 		wantLevel int
 	}{
-		{4, 0},                    // pre-speed file: restore as full speed
-		{5, states[0].Core.Level}, // current format: level survives
+		{4, 0},                       // pre-speed file: restore as full speed
+		{5, states[0].Manager.Level}, // current format: level survives
 	} {
 		snap := filepath.Join(t.TempDir(), "daemon.snap")
 		if _, err := writeSnapshotFileV(snap, states, tc.version); err != nil {
@@ -169,7 +169,7 @@ func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh2.mu.Lock()
-		got := sh2.mgr.Last().Level
+		got := sh2.ctl.Manager().Last().Level
 		sh2.mu.Unlock()
 		if got != tc.wantLevel {
 			t.Errorf("v%d restore: level = %d, want %d", tc.version, got, tc.wantLevel)

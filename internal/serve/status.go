@@ -81,10 +81,10 @@ type Status struct {
 // status snapshots one shard's summary.
 func (sh *Shard) status() ShardStatus {
 	sh.mu.Lock()
-	last := sh.mgr.Last()
+	last := sh.ctl.Manager().Last()
 	st := ShardStatus{
 		Disk:         sh.name,
-		Periods:      sh.periodIdx,
+		Periods:      sh.ctl.Periods(),
 		Consumed:     sh.consumed,
 		Banks:        last.Banks,
 		TimeoutS:     obs.Float(last.Timeout),

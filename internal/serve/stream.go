@@ -140,13 +140,9 @@ func (s *Server) ServeListener(ln net.Listener, opt StreamOptions) error {
 // serveConn reads one connection's preamble and pumps its stream.
 func (s *Server) serveConn(conn net.Conn, opt StreamOptions) error {
 	rd := bufio.NewReader(conn)
-	line, err := rd.ReadString('\n')
+	name, err := readPreamble(rd)
 	if err != nil {
-		return fmt.Errorf("reading preamble: %w", err)
-	}
-	name, ok := strings.CutPrefix(strings.TrimSpace(line), "disk ")
-	if !ok || name == "" {
-		return fmt.Errorf("bad preamble %q, want \"disk <name>\"", strings.TrimSpace(line))
+		return err
 	}
 	sh, err := s.Shard(name)
 	if err != nil {
@@ -157,6 +153,29 @@ func (s *Server) serveConn(conn net.Conn, opt StreamOptions) error {
 		return fmt.Errorf("disk %s: %w", name, err)
 	}
 	return s.ServeStream(sh, st, opt)
+}
+
+// maxPreamble bounds the "disk <name>" line a connection opens with, so
+// a peer that never sends a newline cannot grow the read buffer.
+const maxPreamble = 256
+
+// readPreamble reads the "disk <name>\n" line and returns the name.
+// The read stops at rd's buffer size; bytes after the newline stay
+// buffered in rd for the trace.
+func readPreamble(rd *bufio.Reader) (string, error) {
+	line, err := rd.ReadSlice('\n')
+	if len(line) > maxPreamble || err == bufio.ErrBufferFull {
+		return "", fmt.Errorf("preamble longer than %d bytes", maxPreamble)
+	}
+	if err != nil {
+		return "", fmt.Errorf("reading preamble: %w", err)
+	}
+	text := strings.TrimSpace(string(line))
+	name, ok := strings.CutPrefix(text, "disk ")
+	if !ok || name == "" {
+		return "", fmt.Errorf("bad preamble %q, want \"disk <name>\"", text)
+	}
+	return name, nil
 }
 
 // idleClock maps wall ticks onto a shard's stream clock so decisions

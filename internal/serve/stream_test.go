@@ -231,13 +231,13 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 
 	onSnap := filepath.Join(t.TempDir(), "on.snap")
 	run(0.07, onSnap)
-	if got := restart(0, onSnap).mgr.Params().RefitDriftFrac; got != 0.07 {
+	if got := restart(0, onSnap).ctl.Manager().Params().RefitDriftFrac; got != 0.07 {
 		t.Fatalf("flagless restart of drift-enabled snapshot: frac = %g, want 0.07", got)
 	}
 
 	offSnap := filepath.Join(t.TempDir(), "off.snap")
 	run(0, offSnap)
-	if got := restart(core.DefaultRefitDriftFrac, offSnap).mgr.Params().RefitDriftFrac; got != 0 {
+	if got := restart(core.DefaultRefitDriftFrac, offSnap).ctl.Manager().Params().RefitDriftFrac; got != 0 {
 		t.Fatalf("flag-enabled restart of drift-free snapshot: frac = %g, want 0", got)
 	}
 }
@@ -272,9 +272,8 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.mu.Lock()
-	old, log := sh.state()
+	old := sh.state()
 	sh.mu.Unlock()
-	old.Log = convertLog(log)
 	old.RefitDrift = -1
 
 	cfg2 := testConfig(&decisionLog{})
@@ -290,7 +289,7 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	if err := sh2.restore(old); err != nil {
 		t.Fatal(err)
 	}
-	if got := sh2.mgr.Params().RefitDriftFrac; got != 0.05 {
+	if got := sh2.ctl.Manager().Params().RefitDriftFrac; got != 0.05 {
 		t.Fatalf("sentinel restore: frac = %g, want configured 0.05", got)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -104,5 +106,47 @@ func TestFlightMeasuredLedger(t *testing.T) {
 	coarseDisk := reg.Gauge("sim.period.disk_energy_j").Value()
 	if want := lastRec.Energy.DiskJ(); math.Abs(coarseDisk-want) > 1e-9*want {
 		t.Errorf("sim.period.disk_energy_j = %g, split disk = %g", coarseDisk, want)
+	}
+}
+
+// TestFlightWarmupMeansNoDecision: a joint run's flight record is flagged
+// warmup exactly when the controller discarded its period — i.e. when no
+// decision was journaled for it. A Warmup of three whole periods
+// discards two boundaries and decides at the third, which closes the
+// warmup window.
+func TestFlightWarmupMeansNoDecision(t *testing.T) {
+	tr := testWorkload(t, float64(simtime.MB), 1800)
+	var journal bytes.Buffer
+	sink := obs.NewDecisionSink(&journal, 64)
+	rec := flight.New(64)
+	cfg := testConfig(tr, policy.Joint(128*simtime.MB))
+	cfg.Warmup = 3 * cfg.Period
+	cfg.Flight = rec
+	cfg.DecisionTrace = sink
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil || sink.Dropped() != 0 {
+		t.Fatalf("journal: %v, %d dropped", err, sink.Dropped())
+	}
+	decided := map[obs.Float]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(journal.Bytes()), []byte("\n")) {
+		var d obs.DecisionRecord
+		if err := json.Unmarshal(line, &d); err != nil {
+			t.Fatal(err)
+		}
+		decided[d.Observation.PeriodEnd] = true
+	}
+	warmups := 0
+	for _, r := range rec.Last(0) {
+		if r.Warmup == decided[r.EndS] {
+			t.Errorf("period %d: warmup %v, decision journaled %v", r.Period, r.Warmup, decided[r.EndS])
+		}
+		if r.Warmup {
+			warmups++
+		}
+	}
+	if warmups != 2 {
+		t.Errorf("%d warmup records, want 2", warmups)
 	}
 }

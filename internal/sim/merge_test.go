@@ -5,22 +5,33 @@ import (
 	"testing"
 
 	"jointpm/internal/core"
-	"jointpm/internal/disk"
-	"jointpm/internal/mem"
 	"jointpm/internal/obs"
-	"jointpm/internal/simtime"
+	"jointpm/internal/policy"
 )
 
-func testJointBase() core.Params {
-	return core.DefaultParams(64*simtime.KB, simtime.MB, 128, disk.Barracuda(), mem.RDRAM(simtime.MB))
+// jointParams returns the parameters the engine's joint controller
+// derives for a small joint run with the given overlay.
+func jointParams(t *testing.T, joint *core.Params) core.Params {
+	t.Helper()
+	c := edgeConfig(singleRequestTrace(1))
+	c.Method = policy.Joint(c.InstalledMem)
+	c.Joint = joint
+	cfg, err := c.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.ctl.Manager().Params()
 }
 
 // TestMergeJointParamsOverlaysEveryField sets every overridable field of
-// core.Params to a distinctive non-zero value and checks each one lands
-// in the merged result. Built with reflection over the override struct so
-// a field added to the overlay list without a merge line fails here.
+// core.Params to a distinctive non-zero value in Config.Joint and checks
+// each one lands in the parameters the joint manager runs with.
 func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
-	base := testJointBase()
+	base := jointParams(t, nil)
 	reg := obs.NewRegistry()
 	sink := &obs.DecisionSink{}
 	o := core.Params{
@@ -38,7 +49,7 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 		Metrics:              reg,
 		DecisionTrace:        sink,
 	}
-	got := mergeJointParams(base, o)
+	got := jointParams(t, &o)
 
 	checks := map[string]struct{ got, want any }{
 		"Period":               {got.Period, o.Period},
@@ -70,12 +81,10 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 }
 
 // TestMergeJointParamsZeroKeepsBase checks a zero-value override leaves
-// every base field untouched.
+// every derived field untouched.
 func TestMergeJointParamsZeroKeepsBase(t *testing.T) {
-	base := testJointBase()
-	base.FixedTimeout = true // non-zero flags must also survive
-	base.HysteresisFrac = 0.07
-	got := mergeJointParams(base, core.Params{})
+	base := jointParams(t, nil)
+	got := jointParams(t, &core.Params{})
 	if !reflect.DeepEqual(got, base) {
 		t.Errorf("zero overlay changed params:\nbase: %+v\ngot:  %+v", base, got)
 	}

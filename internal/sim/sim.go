@@ -13,8 +13,6 @@ import (
 	"jointpm/internal/cache"
 	"jointpm/internal/core"
 	"jointpm/internal/disk"
-	"jointpm/internal/drpm"
-	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
 	"jointpm/internal/obs"
 	"jointpm/internal/obs/flight"
@@ -249,17 +247,13 @@ type engine struct {
 	mem   *mem.Memory
 
 	adaptive *policy.AdaptiveTimeout
-	manager  *core.Manager
-	curBanks int // banks actually enabled (≠ decision under fault injection)
+	// ctl is the joint method's per-disk controller (nil otherwise): it
+	// annotates every page reference with its stack depth, streams the
+	// records into the manager, and decides at each boundary.
+	ctl *core.Controller
 
 	zoned    *disk.ZonedDisk
 	lbaScale float64
-
-	// stack annotates every page reference with its LRU stack depth; the
-	// records collect in block and reach the joint manager through one
-	// IngestBatch per full block and one at every period boundary.
-	stack *lrusim.StackSim
-	block []lrusim.DepthRecord
 
 	obsm engineMetrics
 
@@ -274,12 +268,8 @@ type engine struct {
 	periodDelayed  int64
 	lastPageMisses int64
 
-	// flight-record inputs: latency delta for the measured ledger, and
-	// the manager's span timings accumulated since the last boundary
-	// (fed by the SpanHook installed when a recorder is attached).
+	// latency delta for the flight record's measured ledger
 	lastTotalLatency simtime.Seconds
-	spanIngestNs     int64
-	spanDecideNs     int64
 
 	// warmup snapshot, subtracted from the final result
 	warmupTaken bool
@@ -351,63 +341,42 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	if cfg.Method.IsJoint() {
-		p := core.DefaultParams(ps, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
-		p.Period = cfg.Period
-		p.LongLatency = cfg.LongLatency
-		if cfg.SpeedLevels > 1 {
-			// Speed slate: one ladder shared by the pricing (manager) and
-			// the mechanics/energy (disk model).
-			lad := drpm.DeriveLevels(cfg.DiskSpec, 0, cfg.SpeedLevels)
-			p.SpeedLevels = lad.Levels
-			p.SpeedTransitionPerRPM = lad.TransitionPerRPM
-			e.disk.SetSpeedLevels(lad.Levels, lad.TransitionPerRPM)
-		}
-		if cfg.Joint != nil {
-			p = mergeJointParams(p, *cfg.Joint)
-		}
-		if cfg.RefitDriftFrac > 0 {
-			p.RefitDriftFrac = cfg.RefitDriftFrac
-		}
-		if cfg.Metrics != nil {
-			p.Metrics = cfg.Metrics
-		}
-		if cfg.DecisionTrace != nil {
-			p.DecisionTrace = cfg.DecisionTrace
-		}
-		if cfg.Flight.Enabled() {
-			// Accumulate the manager's span timings for the period's
-			// flight record; chain to any caller-installed hook. Timing
-			// never feeds back into decisions, so golden traces are
-			// unaffected.
-			prev := p.SpanHook
-			p.SpanHook = func(span string, ns int64) {
-				switch span {
-				case core.SpanIngest:
-					e.spanIngestNs += ns
-				case core.SpanDecide:
-					e.spanDecideNs = ns
-				}
-				if prev != nil {
-					prev(span, ns)
-				}
-			}
-		}
-		mgr, err := core.NewManager(p)
+		ctl, err := core.NewController(controllerConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
-		e.manager = mgr
-		e.curBanks = totalBanks
-		e.stack = lrusim.NewStackSim(int(installedFrames))
-		e.block = make([]lrusim.DepthRecord, 0, ingestBlock)
+		e.ctl = ctl
+		if cfg.SpeedLevels > 1 {
+			// One ladder shared by the pricing (manager) and the
+			// mechanics and energy (disk model).
+			p := ctl.Manager().Params()
+			e.disk.SetSpeedLevels(p.SpeedLevels, p.SpeedTransitionPerRPM)
+		}
 	}
 	e.res.Method = cfg.Method
 	return e, nil
 }
 
-// mergeJointParams overlays non-zero fields of o onto base.
-func mergeJointParams(base, o core.Params) core.Params {
-	return core.MergeParams(base, o)
+// controllerConfig maps a run's configuration onto the joint
+// controller. The simulator decides at the boundary that ends its warmup
+// window: a Warmup of W whole periods discards W−1 boundaries.
+func controllerConfig(cfg Config) core.ControllerConfig {
+	return core.ControllerConfig{
+		PageSize:       cfg.Trace.PageSize,
+		BankSize:       cfg.BankSize,
+		InstalledMem:   cfg.InstalledMem,
+		DiskSpec:       cfg.DiskSpec,
+		MemSpec:        cfg.MemSpec,
+		Period:         cfg.Period,
+		LongLatency:    cfg.LongLatency,
+		SpeedLevels:    cfg.SpeedLevels,
+		Joint:          cfg.Joint,
+		RefitDriftFrac: cfg.RefitDriftFrac,
+		Metrics:        cfg.Metrics,
+		DecisionTrace:  cfg.DecisionTrace,
+		WarmupPeriods:  max(0, int(math.Round(float64(cfg.Warmup/cfg.Period)))-1),
+		Timed:          cfg.Flight.Enabled(),
+	}
 }
 
 func (e *engine) run() (*Result, error) {
@@ -433,20 +402,6 @@ func (e *engine) run() (*Result, error) {
 	}
 	e.finish(end)
 	return &e.res, nil
-}
-
-// ingestBlock is how many depth records the engine collects before
-// handing them to the joint manager in one IngestBatch call: large enough
-// to amortise the batch entry point's per-call work, small enough to stay
-// cache-resident.
-const ingestBlock = 4096
-
-// flushIngest hands the collected depth records to the joint manager.
-func (e *engine) flushIngest() {
-	if len(e.block) > 0 {
-		e.manager.IngestBatch(e.block)
-		e.block = e.block[:0]
-	}
 }
 
 // serve plays one client request: page-by-page cache lookup with lazy
@@ -486,12 +441,8 @@ func (e *engine) serve(req *trace.Request) {
 		e.res.CacheAccesses++
 		e.periodCacheAcc++
 
-		if e.stack != nil {
-			depth := e.stack.Reference(page)
-			e.block = append(e.block, lrusim.DepthRecord{Time: t, Page: page, Depth: depth, Bytes: e.pageSize})
-			if len(e.block) == ingestBlock {
-				e.flushIngest()
-			}
+		if e.ctl != nil {
+			e.ctl.Reference(t, page)
 		}
 
 		hit := e.lookup(page, t)
@@ -596,42 +547,32 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	// from them shrinks the cache right before the reuse arrives, paying
 	// a staircase of refill storms to climb back. The paper's system
 	// manages an already-warm server.
-	if e.manager != nil {
-		// Every reference of the period reaches the manager before the
-		// boundary consumes (or discards) the ingested state.
-		e.flushIngest()
+	rec := flight.PeriodRecord{
+		Period: int64(e.periodIdx) + 1,
+		StartS: obs.Float(stat.Start),
+		EndS:   obs.Float(stat.End),
+		Refs:   stat.CacheAccesses,
+		Warmup: t <= e.cfg.Warmup,
 	}
-	if e.manager != nil && t >= e.cfg.Warmup {
-		coalesce := 1.0
-		if w.Requests > 0 {
-			coalesce = float64(stat.DiskAccesses) / float64(w.Requests)
+	if e.ctl != nil {
+		var dec core.Decision
+		dec, rec = e.ctl.Close(t, stat.DiskAccesses, w.Requests)
+		if !rec.Warmup {
+			stat.Decision = &dec
+			// Apply the memory half first: with fault injection a bank
+			// enable can fail, truncating the usable contiguous prefix,
+			// and the cache must size to what the memory model actually
+			// achieved.
+			achieved := e.mem.SetEnabledBanks(t, dec.Banks)
+			if achieved != dec.Banks {
+				e.ctl.SetApplied(achieved, int64(achieved)*e.pagesPerBank)
+			}
+			e.obsm.resizeEvicted.Add(e.cache.Resize(e.ctl.Pages()))
+			e.disk.SetTimeout(t, dec.Timeout)
+			e.disk.SetSpeedLevel(t, dec.Level) // no-op without a ladder
+			stat.Banks = achieved
+			stat.Timeout = dec.Timeout
 		}
-		obs := core.Observation{
-			CacheAccesses:  e.periodCacheAcc,
-			CoalesceFactor: coalesce,
-			PeriodStart:    stat.Start,
-			PeriodEnd:      stat.End,
-			CurrentBanks:   e.curBanks,
-		}
-		dec := e.manager.DecideIncremental(obs)
-		stat.Decision = &dec
-		// Apply the memory half first: with fault injection a bank enable
-		// can fail, truncating the usable contiguous prefix, and the cache
-		// must size to what the memory model actually achieved.
-		achieved := e.mem.SetEnabledBanks(t, dec.Banks)
-		pages := dec.Pages
-		if achieved != dec.Banks {
-			pages = int64(achieved) * e.pagesPerBank
-		}
-		e.obsm.resizeEvicted.Add(e.cache.Resize(pages))
-		e.disk.SetTimeout(t, dec.Timeout)
-		e.disk.SetSpeedLevel(t, dec.Level) // no-op without a ladder
-		e.curBanks = achieved
-		stat.Banks = achieved
-		stat.Timeout = dec.Timeout
-	} else if e.manager != nil {
-		// Warmup boundary: drop the ingested references unexamined.
-		e.manager.DiscardPeriod()
 	}
 	// Measured energy-attribution ledger for the window: component
 	// deltas straight from the power models, not the manager's priced
@@ -647,22 +588,12 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	}
 	e.obsm.setEnergySplit(led)
 	if e.cfg.Flight.Enabled() {
-		e.cfg.Flight.Record(flight.PeriodRecord{
-			Disk:     "sim",
-			Period:   int64(e.periodIdx) + 1,
-			StartS:   obs.Float(stat.Start),
-			EndS:     obs.Float(stat.End),
-			Refs:     stat.CacheAccesses,
-			IngestNs: e.spanIngestNs,
-			DecideNs: e.spanDecideNs,
-			Banks:    stat.Banks,
-			TimeoutS: obs.Float(stat.Timeout),
-			Fallback: stat.Decision != nil && stat.Decision.Fallback,
-			Warmup:   t <= e.cfg.Warmup,
-			Energy:   led,
-		})
+		rec.Disk = "sim"
+		rec.Banks = stat.Banks
+		rec.TimeoutS = obs.Float(stat.Timeout)
+		rec.Energy = led
+		e.cfg.Flight.Record(rec)
 	}
-	e.spanIngestNs, e.spanDecideNs = 0, 0
 	e.lastTotalLatency = e.res.TotalLatency
 
 	e.obsm.periodBanks.Set(float64(stat.Banks))

@@ -53,15 +53,10 @@ func VerifyDecisions(c Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: verify: journal dropped %d records", n)
 	}
 
-	// The engine derives its manager's parameters from the config; build
-	// one (fault-free: nothing is simulated) to read them back.
-	bare := cfg
-	bare.DiskFaults, bare.MemFaults, bare.Metrics, bare.DecisionTrace, bare.Flight = nil, nil, nil, nil, nil
-	e, err := newEngine(bare)
-	if err != nil {
-		return nil, err
-	}
-	p := e.manager.Params()
+	// The engine's controller derives the manager's parameters from the
+	// config; derive them the same way, detached from its telemetry.
+	p := controllerConfig(cfg).Params()
+	p.Metrics = nil
 	replaySink := obs.NewDecisionSink(&replayJ, depth)
 	p.DecisionTrace = replaySink
 	mgr, err := core.NewManager(p)
