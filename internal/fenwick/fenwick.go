@@ -1,7 +1,8 @@
 // Package fenwick implements a Fenwick (binary indexed) tree over int64
-// counts. The extended-LRU stack-distance engine uses it to count, in
-// O(log n), how many distinct pages were referenced more recently than a
-// given page — the page's LRU stack depth.
+// counts. The depth histogram (lrusim.DepthHist) keeps its per-bank
+// reference and byte counts in these trees: an O(log n) Add per
+// reference, and one O(n) pass materialising every prefix sum when a
+// period boundary prices the candidate memory sizes.
 package fenwick
 
 // Tree is a Fenwick tree over indices [0, n). The zero value is unusable;
@@ -31,61 +32,11 @@ func (t *Tree) Add(i int, delta int64) {
 	}
 }
 
-// PrefixSum returns the sum of indices [0, i]. PrefixSum(-1) is 0.
-func (t *Tree) PrefixSum(i int) int64 {
-	if i >= t.Len() {
-		i = t.Len() - 1
-	}
-	var s int64
-	for i++; i > 0; i -= i & -i {
-		s += t.a[i]
-	}
-	return s
-}
-
-// RangeSum returns the sum of indices [lo, hi]. Returns 0 if lo > hi.
-func (t *Tree) RangeSum(lo, hi int) int64 {
-	if lo > hi {
-		return 0
-	}
-	if lo <= 0 {
-		return t.PrefixSum(hi)
-	}
-	return t.PrefixSum(hi) - t.PrefixSum(lo-1)
-}
-
-// Total returns the sum over all indices.
-func (t *Tree) Total() int64 { return t.PrefixSum(t.Len() - 1) }
-
-// FindKth returns the smallest index i such that PrefixSum(i) >= k, or
-// Len() if the total is < k. k must be >= 1. This supports order-statistic
-// queries over the tree in O(log n).
-func (t *Tree) FindKth(k int64) int {
-	if k <= 0 {
-		panic("fenwick: k must be >= 1")
-	}
-	pos := 0
-	// Highest power of two <= len.
-	bit := 1
-	for bit<<1 <= t.Len() {
-		bit <<= 1
-	}
-	rem := k
-	for ; bit > 0; bit >>= 1 {
-		next := pos + bit
-		if next < len(t.a) && t.a[next] < rem {
-			pos = next
-			rem -= t.a[next]
-		}
-	}
-	return pos // pos is 0-based index of the k-th element
-}
-
 // AppendPrefixSums appends all Len() prefix sums to dst and returns the
-// extended slice: the k-th appended value equals PrefixSum(k). One query
-// per index would cost O(n log n); this materialises them in O(n) using
-// the tree's own structure — node i already holds the sum of the lowbit(i)
-// indices ending at i, so prefix(i) = prefix(i − lowbit(i)) + a[i], and
+// extended slice: the k-th appended value is the sum of indices [0, k].
+// One tree walk per index would cost O(n log n); this materialises them
+// in O(n) using the tree's own structure — node i already holds the sum
+// of the lowbit(i) indices ending at i, so prefix(i) = prefix(i − lowbit(i)) + a[i], and
 // the needed smaller prefix is always already computed. The depth-
 // histogram decision path uses this to turn a whole profile query into
 // one linear pass.

@@ -2,9 +2,30 @@ package fenwick
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// prefixSum is the textbook O(log n) prefix query over the tree's
+// nodes: the sum of indices [0, i], clamped to the tree, 0 for i < 0.
+// It is the independent oracle AppendPrefixSums is checked against.
+func prefixSum(t *Tree, i int) int64 {
+	i = min(i, t.Len()-1)
+	var s int64
+	for i++; i > 0; i -= i & -i {
+		s += t.a[i]
+	}
+	return s
+}
+
+// rangeSum is the sum of indices [lo, hi], 0 when lo > hi.
+func rangeSum(t *Tree, lo, hi int) int64 {
+	if lo > hi {
+		return 0
+	}
+	return prefixSum(t, hi) - prefixSum(t, lo-1)
+}
 
 func TestBasicSums(t *testing.T) {
 	tr := New(8)
@@ -18,21 +39,25 @@ func TestBasicSums(t *testing.T) {
 		{-1, 0}, {0, 1}, {1, 1}, {2, 1}, {3, 6}, {6, 6}, {7, 8}, {100, 8},
 	}
 	for _, tt := range tests {
-		if got := tr.PrefixSum(tt.i); got != tt.want {
-			t.Errorf("PrefixSum(%d) = %d, want %d", tt.i, got, tt.want)
+		if got := prefixSum(tr, tt.i); got != tt.want {
+			t.Errorf("prefixSum(%d) = %d, want %d", tt.i, got, tt.want)
 		}
 	}
-	if got := tr.RangeSum(1, 3); got != 5 {
-		t.Errorf("RangeSum(1,3) = %d, want 5", got)
+	if got := rangeSum(tr, 1, 3); got != 5 {
+		t.Errorf("rangeSum(1,3) = %d, want 5", got)
 	}
-	if got := tr.RangeSum(4, 6); got != 0 {
-		t.Errorf("RangeSum(4,6) = %d, want 0", got)
+	if got := rangeSum(tr, 4, 6); got != 0 {
+		t.Errorf("rangeSum(4,6) = %d, want 0", got)
 	}
-	if got := tr.RangeSum(5, 2); got != 0 {
-		t.Errorf("RangeSum(5,2) = %d, want 0", got)
+	if got := rangeSum(tr, 5, 2); got != 0 {
+		t.Errorf("rangeSum(5,2) = %d, want 0", got)
 	}
-	if got := tr.Total(); got != 8 {
+	if got := prefixSum(tr, tr.Len()-1); got != 8 {
 		t.Errorf("Total = %d, want 8", got)
+	}
+	want := []int64{1, 1, 1, 6, 6, 6, 6, 8}
+	if got := tr.AppendPrefixSums(nil); !slices.Equal(got, want) {
+		t.Errorf("AppendPrefixSums = %v, want %v", got, want)
 	}
 }
 
@@ -40,45 +65,8 @@ func TestNegativeDeltas(t *testing.T) {
 	tr := New(4)
 	tr.Add(2, 3)
 	tr.Add(2, -3)
-	if got := tr.Total(); got != 0 {
+	if got := prefixSum(tr, tr.Len()-1); got != 0 {
 		t.Errorf("Total after cancel = %d, want 0", got)
-	}
-}
-
-func TestFindKth(t *testing.T) {
-	tr := New(10)
-	// Live positions: 1, 4, 9.
-	tr.Add(1, 1)
-	tr.Add(4, 1)
-	tr.Add(9, 1)
-	tests := []struct {
-		k    int64
-		want int
-	}{
-		{1, 1}, {2, 4}, {3, 9}, {4, 10}, // k beyond total yields Len()
-	}
-	for _, tt := range tests {
-		if got := tr.FindKth(tt.k); got != tt.want {
-			t.Errorf("FindKth(%d) = %d, want %d", tt.k, got, tt.want)
-		}
-	}
-}
-
-func TestFindKthWithWeights(t *testing.T) {
-	tr := New(6)
-	tr.Add(0, 2)
-	tr.Add(3, 3)
-	if got := tr.FindKth(1); got != 0 {
-		t.Errorf("FindKth(1) = %d, want 0", got)
-	}
-	if got := tr.FindKth(2); got != 0 {
-		t.Errorf("FindKth(2) = %d, want 0", got)
-	}
-	if got := tr.FindKth(3); got != 3 {
-		t.Errorf("FindKth(3) = %d, want 3", got)
-	}
-	if got := tr.FindKth(5); got != 3 {
-		t.Errorf("FindKth(5) = %d, want 3", got)
 	}
 }
 
@@ -88,12 +76,12 @@ func TestReset(t *testing.T) {
 		tr.Add(i, int64(i))
 	}
 	tr.Reset()
-	if got := tr.Total(); got != 0 {
+	if got := prefixSum(tr, tr.Len()-1); got != 0 {
 		t.Errorf("Total after Reset = %d, want 0", got)
 	}
 	tr.Add(5, 7)
-	if got := tr.PrefixSum(5); got != 7 {
-		t.Errorf("PrefixSum(5) after Reset+Add = %d, want 7", got)
+	if got := prefixSum(tr, 5); got != 7 {
+		t.Errorf("prefixSum(5) after Reset+Add = %d, want 7", got)
 	}
 }
 
@@ -108,10 +96,10 @@ func TestPanicsOnBadInput(t *testing.T) {
 
 func TestZeroSize(t *testing.T) {
 	tr := New(0)
-	if got := tr.PrefixSum(0); got != 0 {
-		t.Errorf("empty tree PrefixSum = %d", got)
+	if got := prefixSum(tr, 0); got != 0 {
+		t.Errorf("empty tree prefixSum = %d", got)
 	}
-	if got := tr.Total(); got != 0 {
+	if got := prefixSum(tr, tr.Len()-1); got != 0 {
 		t.Errorf("empty tree Total = %d", got)
 	}
 }
@@ -137,7 +125,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 				for j := 0; j <= i && j < n; j++ {
 					want += model[j]
 				}
-				if got := tr.PrefixSum(i); got != want {
+				if got := prefixSum(tr, i); got != want {
 					return false
 				}
 			case 2:
@@ -146,7 +134,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 				for j := lo; j <= hi; j++ {
 					want += model[j]
 				}
-				if got := tr.RangeSum(lo, hi); got != want {
+				if got := rangeSum(tr, lo, hi); got != want {
 					return false
 				}
 			}
@@ -158,43 +146,8 @@ func TestQuickAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestQuickFindKth checks FindKth against a linear scan for random
-// non-negative count vectors.
-func TestQuickFindKth(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		tr := New(n)
-		model := make([]int64, n)
-		for i := range model {
-			v := int64(rng.Intn(3))
-			model[i] = v
-			tr.Add(i, v)
-		}
-		total := tr.Total()
-		for k := int64(1); k <= total+1; k++ {
-			want := n
-			var cum int64
-			for i, v := range model {
-				cum += v
-				if cum >= k {
-					want = i
-					break
-				}
-			}
-			if got := tr.FindKth(k); got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickAppendPrefixSums checks the O(n) bulk materialisation against
-// one PrefixSum query per index, including appends onto a non-empty dst.
+// one prefixSum walk per index, including appends onto a non-empty dst.
 func TestQuickAppendPrefixSums(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,7 +171,7 @@ func TestQuickAppendPrefixSums(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			if got[prefix+i] != tr.PrefixSum(i) {
+			if got[prefix+i] != prefixSum(tr, i) {
 				return false
 			}
 		}

@@ -196,25 +196,27 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 	}
 }
 
-// TestStackSimDropDeepestSnapshotRestore pins the interaction of the three
-// stack mutators that rewrite position state: DropDeepest evictions,
-// position compaction (forced by a small tracked window under thousands of
-// references), and SnapshotPages/RestoreStackSim. After a drop and a
-// snapshot round-trip, the restored stack must report depths identical to
-// the original for any subsequent reference stream.
-func TestStackSimDropDeepestSnapshotRestore(t *testing.T) {
+// TestStackSimTruncatedSnapshotRestore pins the interaction of the three
+// ways stack positions get rewritten: evictions, position compaction
+// (forced by a small tracked window under thousands of references), and
+// SnapshotPages/RestoreStackSim. A stack restored from the newest pages
+// of a snapshot (its deepest history forgotten) is snapshotted and
+// restored again; the two must report identical depths for any
+// subsequent reference stream.
+func TestStackSimTruncatedSnapshotRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const tracked = 24
-	a := NewStackSim(tracked)
+	full := NewStackSim(tracked)
 	// Enough references to trigger compact() several times (positions
 	// advance per reference; capacity is max(2*tracked, 1024)).
 	for i := 0; i < 5000; i++ {
-		a.Reference(int64(rng.Intn(64)))
+		full.Reference(int64(rng.Intn(64)))
 	}
-
-	a.DropDeepest(10)
+	r0, c0 := full.Counters()
+	newest := full.SnapshotPages()[full.Len()-10:]
+	a := RestoreStackSim(tracked, newest, r0, c0)
 	if a.Len() != 10 {
-		t.Fatalf("DropDeepest(10) left %d tracked pages", a.Len())
+		t.Fatalf("restored %d tracked pages, want 10", a.Len())
 	}
 
 	refs, colds := a.Counters()

@@ -6,13 +6,19 @@
 // candidate memory size — a reference at depth d hits in memory iff the
 // resident capacity is at least d pages (Mattson's inclusion property).
 //
-// Reference is O(log n) via a Fenwick tree over last-access positions; a
-// naive O(n) list-walk implementation is included for differential
-// testing and for the ablation benchmark.
+// Each tracked page owns a position, and positions grow with recency. A
+// reference costs one hash probe (page → position) plus a rank query
+// over a bit-vector of live positions: a page's depth is the number of
+// live positions after its own, plus one. The rank is one prefix walk of
+// a Fenwick tree of per-word popcounts, which at the daemon's geometry
+// (262,144 tracked pages) is 32 KB and stays cache-resident, so a
+// reference pays about one cache-line miss, in the hash table. A naive
+// O(n) list-walk oracle lives in the tests.
 package lrusim
 
 import (
-	"jointpm/internal/fenwick"
+	"math/bits"
+
 	"jointpm/internal/intmap"
 )
 
@@ -22,12 +28,19 @@ import (
 const Cold = -1
 
 // StackSim tracks LRU stack depths over a page reference stream.
+//
+// Positions run from lo (no live position below it) to nextPos (the
+// next one handed out); when nextPos reaches the end of the position
+// space, compact renumbers the live positions 0..count-1 in place.
 type StackSim struct {
 	maxTracked int // resident + ghost capacity, in pages
 
-	posOf   *intmap.Map // page -> position (higher = more recent)
-	pageAt  []int64     // position -> page, -1 when dead
-	live    *fenwick.Tree // 1 at each live position
+	posOf  *intmap.Map // page -> position (higher = more recent)
+	pageAt []int64     // position -> page, meaningful where live is set
+	live   []uint64    // bit p set iff position p holds a tracked page
+	tree   []int32     // Fenwick tree over popcount(live[w]), 1-based
+
+	lo      int // first position that can be live: the LRU cursor
 	nextPos int
 	count   int
 
@@ -41,24 +54,17 @@ func NewStackSim(maxTracked int) *StackSim {
 	if maxTracked <= 0 {
 		panic("lrusim: maxTracked must be positive")
 	}
-	capacity := 2 * maxTracked
-	if capacity < 1024 {
-		capacity = 1024
-	}
+	// Twice the tracked window keeps compaction to once per maxTracked
+	// references; whole words keep the bit-vector free of a ragged tail.
+	capacity := max(2*maxTracked, 1024)
+	capacity = (capacity + 63) &^ 63
 	return &StackSim{
 		maxTracked: maxTracked,
 		posOf:      intmap.New(maxTracked),
-		pageAt:     newPageAt(capacity),
-		live:       fenwick.New(capacity),
+		pageAt:     make([]int64, capacity),
+		live:       make([]uint64, capacity/64),
+		tree:       make([]int32, capacity/64+1),
 	}
-}
-
-func newPageAt(n int) []int64 {
-	a := make([]int64, n)
-	for i := range a {
-		a[i] = -1
-	}
-	return a
 }
 
 // Reference records an access to page and returns its LRU stack depth
@@ -69,57 +75,107 @@ func (s *StackSim) Reference(page int64) int {
 	if s.nextPos == len(s.pageAt) {
 		s.compact()
 	}
+	pos := s.nextPos
 	depth := Cold
-	if pos, ok := s.posOf.Get(page); ok {
-		// Depth = pages referenced more recently than this one, plus one.
-		old := int(pos)
-		depth = int(s.live.RangeSum(old+1, s.nextPos-1)) + 1
-		s.live.Add(old, -1)
-		s.pageAt[old] = -1
-		s.count--
+	if old, ok := s.posOf.Update(page, int64(pos)); ok {
+		// Depth = live positions after old, plus one.
+		o := int(old)
+		depth = s.count - s.rank(o) + 1
+		s.unset(o)
 	} else {
 		s.colds++
+		// Make room first, so the table never holds maxTracked+1 pages.
+		if s.count == s.maxTracked {
+			s.evictOldest()
+		}
+		s.posOf.Put(page, int64(pos))
+		s.count++
 	}
-	s.posOf.Put(page, int64(s.nextPos))
-	s.pageAt[s.nextPos] = page
-	s.live.Add(s.nextPos, 1)
+	s.pageAt[pos] = page
+	s.live[pos>>6] |= 1 << (pos & 63)
+	s.addWord(pos>>6, 1)
 	s.nextPos++
-	s.count++
-	if s.count > s.maxTracked {
-		s.evictOldest()
-	}
 	return depth
 }
 
-// evictOldest drops the least recently used tracked page (the bottom of
-// the ghost region).
-func (s *StackSim) evictOldest() {
-	pos := s.live.FindKth(1)
-	page := s.pageAt[pos]
-	s.live.Add(pos, -1)
-	s.pageAt[pos] = -1
-	s.posOf.Delete(page)
-	s.count--
+// rank returns the number of live positions at or before p.
+func (s *StackSim) rank(p int) int {
+	w := p >> 6
+	n := bits.OnesCount64(s.live[w] << (63 - p&63))
+	for i := w; i > 0; i -= i & -i {
+		n += int(s.tree[i])
+	}
+	return n
 }
 
-// compact renumbers live pages to positions 0..count-1, preserving order,
-// and resets the Fenwick tree. Amortised O(1) per reference.
+// addWord adds delta to word w's popcount in the Fenwick tree.
+func (s *StackSim) addWord(w int, delta int32) {
+	for i := w + 1; i < len(s.tree); i += i & -i {
+		s.tree[i] += delta
+	}
+}
+
+// unset marks position p dead.
+func (s *StackSim) unset(p int) {
+	s.live[p>>6] &^= 1 << (p & 63)
+	s.addWord(p>>6, -1)
+}
+
+// evictOldest drops the least recently used tracked page (the bottom of
+// the ghost region): the first live position at or after the cursor.
+func (s *StackSim) evictOldest() {
+	w := s.lo >> 6
+	b := s.live[w] >> (s.lo & 63) << (s.lo & 63)
+	for b == 0 {
+		w++
+		b = s.live[w]
+	}
+	p := w<<6 | bits.TrailingZeros64(b)
+	s.unset(p)
+	s.posOf.Delete(s.pageAt[p])
+	s.count--
+	s.lo = p + 1
+}
+
+// compact renumbers live pages to positions 0..count-1, preserving
+// order, without allocating: the Fenwick array is first turned into
+// exclusive per-word prefix counts, so one sweep of the hash table maps
+// every position to its rank; pageAt is then packed down in place and
+// the bit-vector and tree rebuilt. Amortised O(1) per reference.
 func (s *StackSim) compact() {
-	newAt := newPageAt(len(s.pageAt))
+	prefix := s.tree[:len(s.live)]
+	sum := int32(0)
+	for w, word := range s.live {
+		prefix[w] = sum
+		sum += int32(bits.OnesCount64(word))
+	}
+	s.posOf.MapValues(func(p int64) int64 {
+		mask := uint64(1)<<(p&63) - 1
+		return int64(prefix[p>>6]) + int64(bits.OnesCount64(s.live[p>>6]&mask))
+	})
 	n := 0
-	for _, page := range s.pageAt {
-		if page >= 0 {
-			newAt[n] = page
-			s.posOf.Put(page, int64(n))
+	for w := s.lo >> 6; w < len(s.live); w++ {
+		for b := s.live[w]; b != 0; b &= b - 1 {
+			s.pageAt[n] = s.pageAt[w<<6|bits.TrailingZeros64(b)]
 			n++
 		}
 	}
-	s.pageAt = newAt
-	s.live.Reset()
-	for i := 0; i < n; i++ {
-		s.live.Add(i, 1)
+	clear(s.live)
+	for w := 0; w < n>>6; w++ {
+		s.live[w] = ^uint64(0)
 	}
-	s.nextPos = n
+	if r := n & 63; r != 0 {
+		s.live[n>>6] = 1<<r - 1
+	}
+	// Linear-time Fenwick build from the word popcounts.
+	clear(s.tree)
+	for i := 1; i < len(s.tree); i++ {
+		s.tree[i] += int32(bits.OnesCount64(s.live[i-1]))
+		if j := i + i&-i; j < len(s.tree) {
+			s.tree[j] += s.tree[i]
+		}
+	}
+	s.lo, s.nextPos = 0, n
 }
 
 // Len returns the number of tracked pages (resident + ghost).
@@ -138,9 +194,9 @@ func (s *StackSim) Colds() int64 { return s.colds }
 // depth for every future reference stream as the original.
 func (s *StackSim) SnapshotPages() []int64 {
 	out := make([]int64, 0, s.count)
-	for pos := 0; pos < s.nextPos; pos++ {
-		if s.pageAt[pos] >= 0 {
-			out = append(out, s.pageAt[pos])
+	for w := s.lo >> 6; w < len(s.live); w++ {
+		for b := s.live[w]; b != 0; b &= b - 1 {
+			out = append(out, s.pageAt[w<<6|bits.TrailingZeros64(b)])
 		}
 	}
 	return out
@@ -162,15 +218,4 @@ func RestoreStackSim(maxTracked int, pages []int64, refs, colds int64) *StackSim
 	s.refs = refs
 	s.colds = colds
 	return s
-}
-
-// DropDeepest removes tracked pages deeper than keep, modelling a memory
-// shrink in which both resident and ghost history beyond the new tracked
-// window are forgotten. It is not used by the joint manager (which keeps
-// the ghost region across resizes precisely so growth can be predicted)
-// but supports policies that truly discard state.
-func (s *StackSim) DropDeepest(keep int) {
-	for s.count > keep {
-		s.evictOldest()
-	}
 }

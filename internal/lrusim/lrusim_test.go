@@ -97,24 +97,6 @@ func TestQuickDifferential(t *testing.T) {
 	}
 }
 
-func TestDropDeepest(t *testing.T) {
-	s := NewStackSim(10)
-	for p := int64(0); p < 8; p++ {
-		s.Reference(p)
-	}
-	s.DropDeepest(3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d after DropDeepest(3)", s.Len())
-	}
-	// The three most recent (5, 6, 7) survive.
-	if got := s.Reference(7); got != 1 {
-		t.Errorf("page 7 depth = %d, want 1", got)
-	}
-	if got := s.Reference(0); got != Cold {
-		t.Errorf("dropped page depth = %d, want Cold", got)
-	}
-}
-
 func TestPanicsOnBadCapacity(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewStackSim(0) },
@@ -131,13 +113,38 @@ func TestPanicsOnBadCapacity(t *testing.T) {
 	}
 }
 
-func BenchmarkStackSimFenwick(b *testing.B) {
-	s := NewStackSim(1 << 16)
+// benchWindow is BenchmarkStackSimReference's tracked window: the
+// daemon's default geometry (4 GB of 16 KB pages), where the page table
+// and position array outgrow the caches and a reference is miss-bound.
+const benchWindow = 1 << 18
+
+// BenchmarkStackSimReference times the stack at the daemon's geometry
+// on multi-page runs (1–8 pages, uniform starts) over a page space twice
+// the window, so about half the references are cold and the stack stays
+// full. One op is benchWindow references — one compaction interval in
+// steady state — so the alloc budget of 0 covers compaction too.
+func BenchmarkStackSimReference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
+	refs := make([]int64, 0, 4*benchWindow+8)
+	for len(refs) < 4*benchWindow {
+		start, n := rng.Int63n(2*benchWindow), 1+rng.Int63n(8)
+		for p := start; p < start+n; p++ {
+			refs = append(refs, p)
+		}
+	}
+	refs = refs[:4*benchWindow]
+	s := NewStackSim(benchWindow)
+	for _, p := range refs { // fill the window and compact once
+		s.Reference(p)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reference(int64(rng.Intn(1 << 12)))
+		off := (i % 4) * benchWindow
+		for _, p := range refs[off : off+benchWindow] {
+			s.Reference(p)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchWindow, "ns/ref")
 }
 
 func BenchmarkStackSimNaive(b *testing.B) {

@@ -133,7 +133,10 @@ func (sh *Shard) Ingest(req trace.Request) error {
 // closed exactly where the request timestamps cross them — each request
 // lands in the same period, and each period sees the same log, as
 // one-at-a-time Ingest would produce, so the decision stream is
-// bit-identical (see TestServeBatchedIngestMatches).
+// bit-identical (see TestServeBatchedIngestMatches). A request whose
+// page range is invalid (trace.Request.ValidRange) stops the block with
+// an error; the requests before it are ingested, as one-at-a-time
+// Ingest would have.
 func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	if len(reqs) == 0 {
 		return nil
@@ -152,7 +155,13 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 			if sh.timed {
 				start = time.Now()
 			}
+			var bad error
 			for _, req := range reqs[i:j] {
+				if !req.ValidRange() {
+					bad = fmt.Errorf("serve: disk %s: request %d: invalid page range: first page %d, %d pages",
+						sh.name, sh.consumed, req.FirstPage, req.Pages)
+					break
+				}
 				sh.serve(req)
 			}
 			// The run's references reach the manager now, so neither the
@@ -160,6 +169,9 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 			sh.ctl.Flush()
 			if sh.timed {
 				sh.ingestNs += time.Since(start).Nanoseconds()
+			}
+			if bad != nil {
+				return bad
 			}
 			i = j
 		}

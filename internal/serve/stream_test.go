@@ -3,9 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jointpm/internal/core"
@@ -381,5 +385,116 @@ func TestIngestorBackpressure(t *testing.T) {
 	}
 	if n, c := ing.Occupancy(); n != 0 || c != 4 {
 		t.Fatalf("closed ring occupancy = %d/%d, want 0/4", n, c)
+	}
+}
+
+// sliceStream is a trace.Stream over in-memory requests that skips the
+// decoders, as an in-process producer would.
+type sliceStream struct {
+	hdr  trace.Trace
+	reqs []trace.Request
+}
+
+func (s *sliceStream) Header() trace.Trace { return s.hdr }
+
+func (s *sliceStream) Next() (trace.Request, error) {
+	if len(s.reqs) == 0 {
+		return trace.Request{}, io.EOF
+	}
+	r := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return r, nil
+}
+
+// TestInvalidPageRangeRejected: a request naming a negative page (a
+// FirstPage uvarint ≥ 2^63 on the wire) or a range whose end overflows
+// int64 fails its own stream with an error naming the request, instead
+// of panicking the shard's ring drain and with it every shard, and a
+// second shard on the same server keeps serving and decides exactly as
+// if it were alone.
+func TestInvalidPageRangeRejected(t *testing.T) {
+	data, tr := encodeTrace(t, testTrace(t, 53))
+	want := runUninterrupted(t, tr, testConfig(nil))
+	if len(want) < 10 {
+		t.Fatalf("reference run closed only %d periods", len(want))
+	}
+	const bad = 40
+
+	log := &decisionLog{}
+	srv, err := New(testConfig(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0, err := srv.Shard("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := srv.Shard("d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// On the wire: the binary decoder rejects the record.
+	neg := *tr
+	neg.Requests = append([]trace.Request(nil), tr.Requests...)
+	neg.Requests[bad].FirstPage = -5 // encodes as the uvarint 2^64-5
+	var wire bytes.Buffer
+	if err := trace.WriteBinary(&wire, &neg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := trace.SniffStream(bufio.NewReader(&wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.ServeStream(d0, st, StreamOptions{})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d: invalid page range", bad)) {
+		t.Fatalf("ServeStream over a negative first page: err %v, want an invalid page range error naming request %d", err, bad)
+	}
+
+	// In process: the shard itself rejects what bypasses the decoders.
+	for _, r := range []trace.Request{
+		{FirstPage: -1, Pages: 1},
+		{FirstPage: math.MaxInt64, Pages: 1},
+		{FirstPage: math.MaxInt64 - 2, Pages: 3},
+		{FirstPage: 0, Pages: -1},
+	} {
+		r.Time = tr.Requests[bad].Time
+		if err := d0.Ingest(r); err == nil || !strings.Contains(err.Error(), "invalid page range") {
+			t.Fatalf("Ingest(%+v): err %v, want an invalid page range error", r, err)
+		}
+	}
+	overflow := append([]trace.Request(nil), tr.Requests...)
+	overflow[bad].FirstPage = math.MaxInt64
+	fresh, err := srv.Shard("d2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.ServeStream(fresh, &sliceStream{hdr: *tr, reqs: overflow}, StreamOptions{Ring: 8, Block: 3})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d: invalid page range", bad)) {
+		t.Fatalf("ServeStream over an overflowing range: err %v, want an invalid page range error naming request %d", err, bad)
+	}
+	if got := fresh.Consumed(); got != bad {
+		t.Fatalf("shard consumed %d requests before the bad one, want %d", got, bad)
+	}
+
+	st, err = trace.SniffStream(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeStream(d1, st, StreamOptions{}); err != nil {
+		t.Fatalf("second shard: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []Decision
+	for _, d := range log.list() {
+		if d.Disk == "d1" {
+			d.Disk = "d0"
+			got = append(got, d)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("second shard's decisions diverge from a lone run (got %d, want %d)", len(got), len(want))
 	}
 }

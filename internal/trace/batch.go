@@ -87,9 +87,9 @@ func (s *StreamReader) ReadBatch(dst []Request) (int, error) {
 
 // decodeBlock decodes records wholly contained in the buffered window
 // into dst and discards their bytes, stopping at the first record that
-// might straddle the window edge or fails to parse (the slow path
-// re-reads and diagnoses it). Field layout and delta-time accumulation
-// mirror readOne exactly.
+// might straddle the window edge, fails to parse, or carries a time or
+// page range out of bounds (the slow path re-reads and diagnoses it).
+// Field layout and delta-time accumulation mirror readOne exactly.
 func (s *StreamReader) decodeBlock(dst []Request) int {
 	buf, _ := s.br.Peek(s.br.Buffered())
 	n, i := 0, 0
@@ -120,7 +120,7 @@ func (s *StreamReader) decodeBlock(dst []Request) int {
 			f[fi] = v
 			j += k
 		}
-		if !ok {
+		if !ok || d > maxUsec-s.prev || !rangeOK(f[1], f[2]) {
 			break
 		}
 		s.prev += d
@@ -144,10 +144,10 @@ func (s *StreamReader) decodeBlock(dst []Request) int {
 // decodeTail decodes whole records out of a buffered window smaller
 // than recordMaxLen — the non-blocking complement of decodeBlock for
 // stream tails. binary.Uvarint reports an incomplete varint as k == 0;
-// the decode stops there (or at a malformed k < 0 field) without
-// consuming the partial record, leaving it for readOne to finish or
-// diagnose, so acceptance and errors stay identical to the per-record
-// path.
+// the decode stops there (or at a malformed k < 0 field, or at a time or
+// page range out of bounds) without consuming the partial record,
+// leaving it for readOne to finish or diagnose, so acceptance and errors
+// stay identical to the per-record path.
 func (s *StreamReader) decodeTail(dst []Request) int {
 	avail := s.br.Buffered()
 	if avail == 0 {
@@ -168,7 +168,7 @@ func (s *StreamReader) decodeTail(dst []Request) int {
 			f[fi] = v
 			j += k
 		}
-		if !ok {
+		if !ok || f[0] > maxUsec-s.prev || !rangeOK(f[2], f[3]) {
 			break
 		}
 		s.prev += f[0]

@@ -91,6 +91,13 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	}
 }
 
+// maxUsec bounds a binary trace's running timestamp: 2^53 µs, about 285
+// years. Up to it, the float64 seconds a time decodes to re-encode
+// monotonically and without overflow, so an accepted trace always
+// round-trips; a delta that pushes the clock past it (or wraps it) is
+// rejected.
+const maxUsec = 1 << 53
+
 func usec(s simtime.Seconds) uint64 {
 	if s < 0 {
 		return 0

@@ -2,8 +2,20 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
+
+// requireValidRanges fails unless every request a decoder accepted names
+// an addressable page range.
+func requireValidRanges(t *testing.T, tr *Trace) {
+	t.Helper()
+	for i, r := range tr.Requests {
+		if !r.ValidRange() {
+			t.Fatalf("decoder accepted request %d with page range [%d,+%d)", i, r.FirstPage, r.Pages)
+		}
+	}
+}
 
 // FuzzReadBinary feeds arbitrary bytes to the binary decoder: it must
 // never panic, and anything it accepts must re-encode losslessly.
@@ -34,12 +46,23 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(zbuf.Bytes())
+	// Page fields no valid range has: a first page of 2^64-5 (negative
+	// as int64), and a range ending past int64.
+	neg := sampleTrace()
+	neg.Requests[1].FirstPage = -5
+	var nbuf bytes.Buffer
+	if err := WriteBinary(&nbuf, neg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nbuf.Bytes())
+	f.Add(rawBinary([][5]uint64{{1, 0, math.MaxInt64 - 1, 2, 4096}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		requireValidRanges(t, got)
 		// Accepted input must round-trip through the encoder. In
 		// particular the delta-time decoding is monotone by construction,
 		// so re-encoding can never hit the out-of-order error.
@@ -86,12 +109,18 @@ func FuzzReadText(f *testing.F) {
 	// Zero-length request.
 	f.Add("# jointpm trace pagesize=4096 datasetbytes=16384 datasetpages=4 files=1 duration_us=1000000\n" +
 		"100 0 0 0 0\n")
+	// Invalid page ranges: a negative first page, a negative page count,
+	// a count beyond int32 and a range ending past int64.
+	for _, rec := range []string{"100 0 -1 1 4096", "100 0 0 -1 4096", "100 0 0 2147483648 4096", "100 0 9223372036854775807 1 4096"} {
+		f.Add("# jointpm trace pagesize=4096 datasetbytes=16384 datasetpages=4 files=1 duration_us=1000000\n" + rec + "\n")
+	}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		got, err := ReadText(bytes.NewReader([]byte(data)))
 		if err != nil {
 			return
 		}
+		requireValidRanges(t, got)
 		var out bytes.Buffer
 		if err := WriteText(&out, got); err != nil {
 			t.Fatalf("accepted trace failed to encode: %v", err)

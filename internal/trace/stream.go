@@ -123,6 +123,10 @@ func (s *StreamReader) readOne() (Request, error) {
 		s.err = fmt.Errorf("trace: request %d: %w", s.read, err)
 		return Request{}, s.err
 	}
+	if d > maxUsec-s.prev {
+		s.err = fmt.Errorf("trace: request %d: time past %d us", s.read, uint64(maxUsec))
+		return Request{}, s.err
+	}
 	s.prev += d
 	req.Time = fromUsec(s.prev)
 	// A bare io.EOF inside a record means the stream was truncated; it
@@ -144,11 +148,16 @@ func (s *StreamReader) readOne() (Request, error) {
 		s.err = midRecord(err)
 		return Request{}, s.err
 	}
-	req.FirstPage = int64(v)
+	first := v
 	if v, err = binary.ReadUvarint(s.br); err != nil {
 		s.err = midRecord(err)
 		return Request{}, s.err
 	}
+	if !rangeOK(first, v) {
+		s.err = fmt.Errorf("trace: request %d: invalid page range: first page %d, %d pages", s.read, first, v)
+		return Request{}, s.err
+	}
+	req.FirstPage = int64(first)
 	req.Pages = int32(v)
 	if v, err = binary.ReadUvarint(s.br); err != nil {
 		s.err = midRecord(err)
@@ -169,6 +178,7 @@ type TextStreamReader struct {
 	sc   *bufio.Scanner
 	hdr  Trace
 	line int
+	read int // requests returned so far
 	err  error
 }
 
@@ -231,6 +241,12 @@ func (s *TextStreamReader) Next() (Request, error) {
 			}
 			vals[i] = v
 		}
+		if vals[2] < 0 || vals[3] < 0 || !rangeOK(uint64(vals[2]), uint64(vals[3])) {
+			s.err = fmt.Errorf("trace: line %d: request %d: invalid page range: first page %d, %d pages",
+				s.line, s.read, vals[2], vals[3])
+			return Request{}, s.err
+		}
+		s.read++
 		return Request{
 			Time:      fromUsec(uint64(vals[0])),
 			File:      int32(vals[1]),

@@ -8,6 +8,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"jointpm/internal/simtime"
 )
@@ -21,6 +22,23 @@ type Request struct {
 	FirstPage int64           // first page touched
 	Pages     int32           // number of consecutive pages touched
 	Bytes     simtime.Bytes   // true byte size (≤ Pages * page size)
+}
+
+// ValidRange reports whether the request names an addressable page
+// range: FirstPage ≥ 0, Pages ≥ 0, and the range end FirstPage+Pages
+// within int64. The stream decoders reject records that fail it, and the
+// daemon's shards check it again for requests handed to them in-process,
+// so no page number downstream is ever negative.
+func (r *Request) ValidRange() bool {
+	return r.FirstPage >= 0 && r.Pages >= 0 && r.FirstPage <= math.MaxInt64-int64(r.Pages)
+}
+
+// rangeOK reports whether a record's raw FirstPage and Pages fields
+// decode, without wrapping, to a range ValidRange accepts: Pages within
+// int32 and FirstPage+Pages within int64 (which also keeps FirstPage
+// non-negative).
+func rangeOK(first, pages uint64) bool {
+	return pages <= math.MaxInt32 && first <= math.MaxInt64-pages
 }
 
 // Trace is an in-memory access trace plus the metadata the synthesizer
