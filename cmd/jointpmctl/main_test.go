@@ -105,6 +105,43 @@ func TestRenderPeriodsGolden(t *testing.T) {
 	}
 }
 
+// TestRenderPeriodsFleetGolden pins the capped variant of the
+// flight-record table: records carrying fleet watts add the EPOCH
+// column, "-" where a boundary ran no epoch.
+func TestRenderPeriodsFleetGolden(t *testing.T) {
+	pr := serve.PeriodsResponse{
+		FlightDepth: 8,
+		Disks: map[string][]flight.PeriodRecord{
+			"sda": {
+				{
+					Disk: "sda", Period: 3, StartS: 240, EndS: 360,
+					Refs: 4000, IngestNs: 1_200_000, DecideNs: 410_000, EmitNs: 9_100,
+					EpochNs: 38_500, Banks: 80, TimeoutS: 11.7,
+					Energy: flight.Ledger{MemNapJ: 80.25, DiskActiveJ: 20.5},
+					PowerW: 7.5, BudgetW: 9.25,
+				},
+				{
+					Disk: "sda", Period: 4, StartS: 360, EndS: 480,
+					Refs: 2000, IngestNs: 640_000, DecideNs: 380_000, EmitNs: 8_000,
+					Banks: 80, TimeoutS: 11.7, OverBudget: true,
+					Energy: flight.Ledger{MemNapJ: 80.25},
+					PowerW: 9.5, BudgetW: 9.25,
+				},
+			},
+		},
+	}
+	var buf bytes.Buffer
+	if err := renderPeriods(&buf, pr); err != nil {
+		t.Fatal(err)
+	}
+	want := "DISK  PERIOD  SPAN s  REFS  INGEST ns/ref  DECIDE  EMIT    CKPT  EPOCH  BANKS  TIMEOUT  ENERGY J  FLAGS\n" +
+		"sda   3       120     4000  300            410µs   9100ns  -     38µs   80     11.70s   100.8     -\n" +
+		"sda   4       120     2000  320            380µs   8000ns  -     -      80     11.70s   80.2      -\n"
+	if got := buf.String(); got != want {
+		t.Errorf("capped periods table mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // TestRenderStatusFleetGolden pins the capped variant of the status
 // table: when any shard reports fleet watts, the BUDGET W / ACTUAL W
 // columns appear, with "-" for shards not yet budgeted.

@@ -91,15 +91,25 @@ func counterLine(counters []obs.NamedInt) string {
 }
 
 // renderPeriods writes the flight records, one row per period, disks in
-// name order, oldest first.
+// name order, oldest first. Records from a capped daemon (any carrying
+// fleet watts or an epoch time) add an EPOCH column with each boundary's
+// reallocation wall time; uncapped tables render as before.
 func renderPeriods(w io.Writer, pr serve.PeriodsResponse) error {
 	names := make([]string, 0, len(pr.Disks))
-	for name := range pr.Disks {
+	capped := false
+	for name, recs := range pr.Disks {
 		names = append(names, name)
+		for _, r := range recs {
+			capped = capped || r.BudgetW > 0 || r.PowerW > 0 || r.EpochNs > 0
+		}
 	}
 	sort.Strings(names)
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "DISK\tPERIOD\tSPAN s\tREFS\tINGEST ns/ref\tDECIDE\tEMIT\tCKPT\tBANKS\tTIMEOUT\tENERGY J\tFLAGS")
+	epochCol := ""
+	if capped {
+		epochCol = "\tEPOCH"
+	}
+	fmt.Fprintf(tw, "DISK\tPERIOD\tSPAN s\tREFS\tINGEST ns/ref\tDECIDE\tEMIT\tCKPT%s\tBANKS\tTIMEOUT\tENERGY J\tFLAGS\n", epochCol)
 	for _, name := range names {
 		for _, r := range pr.Disks[name] {
 			span := float64(r.EndS) - float64(r.StartS)
@@ -114,9 +124,12 @@ func renderPeriods(w io.Writer, pr serve.PeriodsResponse) error {
 			if fl != nil {
 				flags = strings.Join(fl, ",")
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%.0f\t%s\t%s\t%s\t%d\t%s\t%.1f\t%s\n",
+			if capped {
+				epochCol = "\t" + formatNs(r.EpochNs)
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%.0f\t%s\t%s\t%s%s\t%d\t%s\t%.1f\t%s\n",
 				name, r.Period, span, r.Refs, r.IngestNsPerRef(),
-				formatNs(r.DecideNs), formatNs(r.EmitNs), formatNs(r.CheckpointNs),
+				formatNs(r.DecideNs), formatNs(r.EmitNs), formatNs(r.CheckpointNs), epochCol,
 				r.Banks, formatTimeout(r.TimeoutS), r.Energy.TotalJ(), flags)
 		}
 	}

@@ -326,6 +326,10 @@ func (m *Manager) SetRefitDriftFrac(f float64) {
 // Last returns the most recent decision.
 func (m *Manager) Last() Decision { return m.last }
 
+// LastPowerW returns the priced total power of the most recent decision
+// in watts, without copying the decision.
+func (m *Manager) LastPowerW() float64 { return float64(m.last.Chosen.TotalPower) }
+
 // Decide evaluates one period's observation and returns the sizing and
 // timeout for the next period. It is exactly IngestBatch(obs.Log)
 // followed by DecideIncremental(obs): the log is folded into the

@@ -2,29 +2,28 @@
 // splits one configurable global power cap fairly across the daemon's
 // shards, FastCap-style (Liu et al.), at shard rather than core
 // granularity. Each epoch the coordinator collects one Summary per
-// shard — the priced flight-recorder ledger split, the ingest rate, a
-// qmodel delayed-ratio estimate, and the current (m, t_o) — and solves
-// a max-min fair ("water-filling") reallocation of the cap into
-// per-shard budgets, which internal/serve pushes down into each shard's
-// core.Manager as an extra constraint on the candidate slate
-// (core.SetPowerBudget).
+// shard — its fairness floor and its power demand, the priced power of
+// its last decision — and solves a max-min fair ("water-filling")
+// reallocation of the cap into per-shard budgets, which internal/serve
+// pushes down into each shard's core.Manager as an extra constraint on
+// the candidate slate (core.SetPowerBudget).
 //
-// The solver is deterministic and depends only on each shard's fairness
-// floor and power demand, both of which a warm restart restores
-// bit-identically from the snapshot; the rest of the Summary is
-// diagnostic. Fault tolerance: a shard whose summary is dropped or
-// arrives late (fault.FleetPlan) is solved from its last-known summary,
-// so budgets degrade gracefully while the sum never exceeds the cap.
+// The solver is deterministic and depends only on the floors and the
+// demands. An epoch costs O(shards) loads and stores on dense slot
+// arrays the coordinator reuses, with no allocation. Fault
+// tolerance: a shard whose summary is dropped or arrives late
+// (fault.FleetPlan) is solved from its last-known summary, so budgets
+// degrade gracefully while the sum never exceeds the cap.
 package fleet
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
-	"jointpm/internal/obs/flight"
-	"jointpm/internal/qmodel"
+	"jointpm/internal/fault"
 )
 
 // Summary is one shard's per-epoch report to the coordinator.
@@ -40,16 +39,6 @@ type Summary struct {
 	// The solver never budgets a shard above max(FloorW, DemandW) plus
 	// its equal share of any surplus.
 	DemandW float64 `json:"demand_w"`
-	// Diagnostics carried for /debug/fleet; the solver ignores them.
-	RefsPerSec   float64 `json:"refs_per_s"`
-	DelayedRatio float64 `json:"delayed_ratio"`
-	Banks        int     `json:"banks"`
-	TimeoutS     float64 `json:"timeout_s"`
-	// Level is the DRPM speed level of the shard's last decision; omitted
-	// (0, full speed) on single-speed shards. A capped fleet reads it as
-	// the "ran slower instead of infeasible" diagnostic.
-	Level  int           `json:"level,omitempty"`
-	Energy flight.Ledger `json:"energy"`
 }
 
 // Assignment is one shard's budget out of a Reallocate solve.
@@ -84,14 +73,21 @@ const solveEps = 1e-9
 // Σ budgets ≤ capW (within solveEps) for a finite positive cap.
 func Solve(capW float64, sums []Summary) []float64 {
 	out := make([]float64, len(sums))
+	solveInto(out, make([]float64, len(sums)), capW, sums)
+	return out
+}
+
+// solveInto is Solve writing the budgets into out, with want as scratch;
+// both must be len(sums) long. It allocates nothing.
+func solveInto(out, want []float64, capW float64, sums []Summary) {
 	if len(sums) == 0 {
-		return out
+		return
 	}
 	if capW <= 0 || math.IsInf(capW, 1) || math.IsNaN(capW) {
 		for i := range out {
 			out[i] = math.Inf(1)
 		}
-		return out
+		return
 	}
 	floors := 0.0
 	wants := 0.0
@@ -104,7 +100,7 @@ func Solve(capW float64, sums []Summary) []float64 {
 		if w < f || math.IsNaN(w) || math.IsInf(w, 0) {
 			w = f
 		}
-		out[i] = w // stash want
+		want[i] = w
 		floors += f
 		wants += w
 	}
@@ -112,15 +108,14 @@ func Solve(capW float64, sums []Summary) []float64 {
 	case capW >= wants:
 		share := (capW - wants) / float64(len(sums))
 		for i := range out {
-			out[i] += share
+			out[i] = want[i] + share
 		}
 	case capW >= floors:
 		// Water-fill from the floors toward the wants: distribute the
 		// slack equally, capping each shard at its want and re-spreading
 		// what the saturated shards could not absorb. Terminates in at
 		// most len(sums) rounds.
-		want := out
-		budget := make([]float64, len(sums))
+		budget := out
 		open := 0
 		for i := range sums {
 			f := sums[i].FloorW
@@ -152,7 +147,6 @@ func Solve(capW float64, sums []Summary) []float64 {
 				}
 			}
 		}
-		copy(out, budget)
 	default:
 		// Cap below the sum of floors: pro-rate so every shard keeps the
 		// same fraction of its floor and the sum still respects the cap.
@@ -165,7 +159,6 @@ func Solve(capW float64, sums []Summary) []float64 {
 			out[i] = f * frac
 		}
 	}
-	return out
 }
 
 // CheckFairness verifies the two invariants every Solve output must
@@ -242,58 +235,41 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// PredictDelayedRatio estimates the fraction of a period a request
-// spends queue-delayed beyond the long-latency threshold: the M/G/1
-// mean wait at the shard's observed arrival rate and service time,
-// normalised by the threshold and clamped to [0, 1]. Zero traffic
-// (lambda ≤ 0 or es ≤ 0) predicts zero; an unstable queue (ρ ≥ 1)
-// predicts one. This is the qmodel path the coordinator's summaries
-// ride, covered by the table-driven tests in internal/qmodel.
-func PredictDelayedRatio(lambda, es, scv, longLatencyS float64) float64 {
-	if longLatencyS <= 0 || math.IsNaN(longLatencyS) {
-		return 0
-	}
-	w, err := qmodel.MG1WaitSCV(lambda, es, scv)
-	if err != nil {
-		return 1 // unstable: every request is effectively delayed
-	}
-	r := w / longLatencyS
-	if math.IsNaN(r) || r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
-// Coordinator runs the epoch protocol: Observe fresh summaries as they
-// arrive, then Reallocate solves the cap over every known shard and
-// returns the assignments. Safe for concurrent use; serve collects
-// summaries and applies budgets around it.
+// Coordinator runs the epoch protocol over a fixed order of slots, one
+// per shard in the order the shards joined. Each slot holds the shard's
+// last-known summary; an epoch refreshes the summaries that arrive,
+// solves the cap over a prefix of the slots, and reports one budget per
+// slot. Every per-epoch buffer is reused, so an epoch takes one lock
+// and allocates nothing. Safe for concurrent use.
 type Coordinator struct {
 	capW   float64
 	floorW float64 // default floor for shards never yet summarised
 
 	mu     sync.Mutex
 	epoch  int64
-	known  map[string]Summary
-	seenAt map[string]int64
+	known  []Summary     // last-known summary per slot
+	seenAt []int64       // epoch each known summary counts as fresh for (0: never)
+	late   []lateSummary // summaries that missed this epoch's solve
+	want   []float64     // solve scratch
+	budget []float64     // solve output
 	last   []Assignment
 }
 
+// lateSummary is a demand collected for an epoch that lands only after
+// that epoch's solve.
+type lateSummary struct {
+	slot    int
+	demandW float64
+}
+
 // NewCoordinator creates a coordinator for a finite positive cap.
-// defaultFloorW seeds the floor of shards that have never reported.
+// defaultFloorW seeds the floor of shards that have never reported, and
+// is the floor Collect reports for every shard.
 func NewCoordinator(capW, defaultFloorW float64) *Coordinator {
 	if defaultFloorW < 0 || math.IsNaN(defaultFloorW) {
 		defaultFloorW = 0
 	}
-	return &Coordinator{
-		capW:   capW,
-		floorW: defaultFloorW,
-		known:  map[string]Summary{},
-		seenAt: map[string]int64{},
-	}
+	return &Coordinator{capW: capW, floorW: defaultFloorW}
 }
 
 // CapW returns the configured global cap in watts.
@@ -306,57 +282,121 @@ func (c *Coordinator) Epoch() int64 {
 	return c.epoch
 }
 
-// Observe records a shard's fresh summary for the next solve. A dropped
-// summary simply never arrives; a late one arrives after Reallocate and
-// is picked up the following epoch.
+// Join appends a slot for disk, seeded with a floor-only default
+// summary. Each shard joins once, when it is created.
+func (c *Coordinator) Join(disk string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.joinLocked(disk)
+}
+
+func (c *Coordinator) joinLocked(disk string) int {
+	c.known = append(c.known, Summary{Disk: disk, FloorW: c.floorW, DemandW: c.floorW})
+	c.seenAt = append(c.seenAt, 0)
+	return len(c.known) - 1
+}
+
+// Observe records a shard's fresh summary for the next solve, joining
+// the shard if it has no slot yet. A dropped summary simply never
+// arrives; a late one arrives after the solve and is picked up the
+// following epoch. It finds the slot by a linear search: the epoch
+// itself collects through Collect.
 func (c *Coordinator) Observe(s Summary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.known[s.Disk] = s
-	c.seenAt[s.Disk] = c.epoch + 1 // the epoch the upcoming solve will stamp
+	i := slices.IndexFunc(c.known, func(k Summary) bool { return k.Disk == s.Disk })
+	if i < 0 {
+		i = c.joinLocked(s.Disk)
+	}
+	c.known[i] = s
+	c.seenAt[i] = c.epoch + 1 // the epoch the upcoming solve will stamp
 }
 
-// Reallocate solves the cap across the named shards (order preserved)
-// using each shard's freshest known summary — degrading to the
-// last-known one, or a floor-only default, when this epoch's summary
-// never arrived — and returns the assignments. Σ budgets ≤ cap holds
-// regardless of how stale the inputs are.
-func (c *Coordinator) Reallocate(disks []string) []Assignment {
+// Reallocate solves the cap across every slot from the last-known
+// summaries — a floor-only default for shards never summarised — and
+// returns a copy of the assignments in slot order. Σ budgets ≤ cap
+// holds regardless of how stale the inputs are.
+func (c *Coordinator) Reallocate() []Assignment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
-	sums := make([]Summary, len(disks))
-	stale := make([]bool, len(disks))
-	for i, d := range disks {
-		if s, ok := c.known[d]; ok {
-			sums[i] = s
-			stale[i] = c.seenAt[d] < c.epoch
-		} else {
-			sums[i] = Summary{Disk: d, FloorW: c.floorW, DemandW: c.floorW}
-			stale[i] = true
-		}
+	c.solveLocked(len(c.known))
+	return append([]Assignment(nil), c.last...)
+}
+
+// Collect runs one epoch over the first len(demandW) slots: slot i's
+// fresh summary is its floor and demandW[i], unless faults drops it (the
+// solve keeps the last-known summary) or delays it (the solve keeps the
+// last-known summary and the fresh one lands for the next epoch). The
+// budgets are written to budgetW, which must be as long as demandW.
+// Collect allocates nothing once its buffers have grown to the slot
+// count.
+func (c *Coordinator) Collect(demandW, budgetW []float64, faults *fault.Injector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(demandW)
+	if n > len(c.known) {
+		n = len(c.known)
 	}
-	budgets := Solve(c.capW, sums)
-	out := make([]Assignment, len(disks))
-	for i := range disks {
-		out[i] = Assignment{
-			Disk:    disks[i],
-			BudgetW: budgets[i],
+	e := c.epoch + 1
+	c.late = c.late[:0]
+	for i := 0; i < n; i++ {
+		if faults.SummaryDropped(e, i) {
+			continue
+		}
+		if faults.SummaryLate(e, i) {
+			c.late = append(c.late, lateSummary{slot: i, demandW: demandW[i]})
+			continue
+		}
+		c.stampLocked(i, demandW[i], e)
+	}
+	c.solveLocked(n)
+	copy(budgetW, c.budget)
+	for _, l := range c.late {
+		c.stampLocked(l.slot, l.demandW, c.epoch+1)
+	}
+}
+
+// stampLocked records slot i's summary as fresh for epoch e.
+func (c *Coordinator) stampLocked(i int, demandW float64, e int64) {
+	c.known[i].FloorW = c.floorW
+	c.known[i].DemandW = demandW
+	c.seenAt[i] = e
+}
+
+// solveLocked advances the epoch and solves the cap over the first n
+// slots into c.budget and c.last.
+func (c *Coordinator) solveLocked(n int) {
+	c.epoch++
+	if cap(c.budget) < n {
+		c.budget = make([]float64, n, cap(c.known))
+		c.want = make([]float64, n, cap(c.known))
+	}
+	c.budget, c.want = c.budget[:n], c.want[:n]
+	sums := c.known[:n]
+	solveInto(c.budget, c.want, c.capW, sums)
+	c.last = c.last[:0]
+	for i := range sums {
+		c.last = append(c.last, Assignment{
+			Disk:    sums[i].Disk,
+			BudgetW: c.budget[i],
 			FloorW:  sums[i].FloorW,
 			DemandW: sums[i].DemandW,
-			Stale:   stale[i],
-		}
+			Stale:   c.seenAt[i] < c.epoch,
+		})
 	}
-	c.last = append(c.last[:0], out...)
-	return out
+}
+
+// Latest returns a copy of the latest solve in slot order.
+func (c *Coordinator) Latest() []Assignment {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Assignment(nil), c.last...)
 }
 
 // Assignments returns a copy of the latest solve, sorted by disk name
 // (the /debug/fleet payload).
 func (c *Coordinator) Assignments() []Assignment {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]Assignment(nil), c.last...)
+	out := c.Latest()
 	sort.Slice(out, func(i, j int) bool { return out[i].Disk < out[j].Disk })
 	return out
 }

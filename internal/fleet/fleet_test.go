@@ -166,7 +166,7 @@ func TestCheckFairnessRejectsStarvation(t *testing.T) {
 
 // TestCoordinatorDegradesToLastKnown covers the satellite invariant at
 // 100+ seeds: with seeded dropped and late summaries (fault.FleetPlan),
-// every epoch's budgets equal a clean Solve over the summaries the
+// every epoch Collect solves equal a clean Solve over the summaries the
 // coordinator could legitimately know — i.e. it degrades to last-known
 // inputs — and the budget sum never exceeds the cap.
 func TestCoordinatorDegradesToLastKnown(t *testing.T) {
@@ -186,13 +186,19 @@ func TestCoordinatorDegradesToLastKnown(t *testing.T) {
 			Fleet: fault.FleetPlan{SummaryDropProb: 0.3, SummaryLateProb: 0.3},
 		}, 0, nil)
 		coord := NewCoordinator(capW, floorW)
+		for _, d := range disks {
+			coord.Join(d)
+		}
 		mirror := map[string]Summary{}
 		rng := rand.New(rand.NewSource(int64(seed)))
+		demand := make([]float64, shards)
+		budget := make([]float64, shards)
 		sawStale := false
 		for e := int64(1); e <= epochs; e++ {
 			var late []Summary
 			for i, d := range disks {
-				s := Summary{Disk: d, FloorW: floorW, DemandW: floorW + rng.Float64()*20}
+				demand[i] = floorW + rng.Float64()*20
+				s := Summary{Disk: d, FloorW: floorW, DemandW: demand[i]}
 				if inj.SummaryDropped(e, i) {
 					continue
 				}
@@ -200,10 +206,9 @@ func TestCoordinatorDegradesToLastKnown(t *testing.T) {
 					late = append(late, s)
 					continue
 				}
-				coord.Observe(s)
 				mirror[d] = s
 			}
-			got := coord.Reallocate(disks)
+			coord.Collect(demand, budget, inj)
 			sums := make([]Summary, len(disks))
 			for i, d := range disks {
 				if s, ok := mirror[d]; ok {
@@ -213,11 +218,16 @@ func TestCoordinatorDegradesToLastKnown(t *testing.T) {
 				}
 			}
 			want := Solve(capW, sums)
+			got := coord.Latest()
 			total := 0.0
 			for i, a := range got {
-				if !almost(a.BudgetW, want[i]) {
-					t.Fatalf("seed %d epoch %d: %s budget %g, want %g (from last-known inputs)",
-						seed, e, a.Disk, a.BudgetW, want[i])
+				if a.BudgetW != want[i] || budget[i] != want[i] {
+					t.Fatalf("seed %d epoch %d: %s budget %g (reported %g), want %g (from last-known inputs)",
+						seed, e, a.Disk, a.BudgetW, budget[i], want[i])
+				}
+				if a.Disk != disks[i] || a.DemandW != sums[i].DemandW {
+					t.Fatalf("seed %d epoch %d: slot %d is %s at %g W, want %s at %g W",
+						seed, e, i, a.Disk, a.DemandW, disks[i], sums[i].DemandW)
 				}
 				sawStale = sawStale || a.Stale
 				total += a.BudgetW
@@ -227,7 +237,6 @@ func TestCoordinatorDegradesToLastKnown(t *testing.T) {
 			}
 			// Late summaries land after the solve; next epoch sees them.
 			for _, s := range late {
-				coord.Observe(s)
 				mirror[s.Disk] = s
 			}
 		}
@@ -244,6 +253,9 @@ func TestCoordinatorDegradesToLastKnown(t *testing.T) {
 func TestCoordinatorConcurrentObserveReallocate(t *testing.T) {
 	coord := NewCoordinator(100, 2)
 	disks := []string{"a", "b", "c", "d"}
+	for _, d := range disks {
+		coord.Join(d)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -251,7 +263,11 @@ func TestCoordinatorConcurrentObserveReallocate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				coord.Observe(Summary{Disk: disks[w%len(disks)], FloorW: 2, DemandW: float64(5 + i%7)})
-				asg := coord.Reallocate(disks)
+				if w%2 == 1 {
+					demand := []float64{3, float64(4 + i%5), 6, 7}
+					coord.Collect(demand, make([]float64, len(demand)), nil)
+				}
+				asg := coord.Reallocate()
 				total := 0.0
 				for _, a := range asg {
 					total += a.BudgetW
@@ -265,8 +281,49 @@ func TestCoordinatorConcurrentObserveReallocate(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if coord.Epoch() != 800 {
-		t.Fatalf("epoch = %d, want 800", coord.Epoch())
+	if coord.Epoch() != 1200 {
+		t.Fatalf("epoch = %d, want 1200", coord.Epoch())
+	}
+}
+
+// TestCollectAllocatesNothing pins the epoch's cost model: once the
+// coordinator's buffers have grown to the slot count, collecting,
+// solving and reporting an epoch allocates nothing, with faults
+// injected or not, and the budgets are Solve's bit for bit.
+func TestCollectAllocatesNothing(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(3))
+	sums := randomFleet(rng, n)
+	demand := make([]float64, n)
+	budget := make([]float64, n)
+	var floors float64
+	for i, s := range sums {
+		sums[i].FloorW = 4
+		demand[i] = s.DemandW
+		floors += 4
+	}
+	inj := fault.NewInjector(fault.Plan{
+		Seed:  1,
+		Fleet: fault.FleetPlan{SummaryDropProb: 0.2, SummaryLateProb: 0.2},
+	}, 0, nil)
+	for _, faults := range []*fault.Injector{nil, inj} {
+		coord := NewCoordinator(1.3*floors, 4)
+		for _, s := range sums {
+			coord.Join(s.Disk)
+		}
+		coord.Collect(demand, budget, faults)
+		if allocs := testing.AllocsPerRun(50, func() { coord.Collect(demand, budget, faults) }); allocs != 0 {
+			t.Fatalf("faults=%t: Collect allocates %g times per epoch", faults != nil, allocs)
+		}
+		if faults != nil {
+			continue
+		}
+		want := Solve(coord.CapW(), sums)
+		for i := range want {
+			if budget[i] != want[i] {
+				t.Fatalf("slot %d: Collect budget %x, Solve %x", i, budget[i], want[i])
+			}
+		}
 	}
 }
 
@@ -280,36 +337,5 @@ func TestJainIndex(t *testing.T) {
 	got := JainIndex([]float64{1, 0, 0, 0})
 	if !almost(got, 0.25) {
 		t.Fatalf("JainIndex(one-dominates) = %g, want 0.25", got)
-	}
-}
-
-func TestPredictDelayedRatio(t *testing.T) {
-	cases := []struct {
-		name                     string
-		lambda, es, scv, longLat float64
-		want                     float64
-		upTo                     bool // want is an upper bound, not exact
-	}{
-		{"zero-traffic", 0, 0.01, 1, 0.2, 0, false},
-		{"zero-service", 10, 0, 1, 0.2, 0, false},
-		{"zero-threshold", 10, 0.01, 1, 0, 0, false},
-		{"unstable", 200, 0.01, 1, 0.2, 1, false},
-		{"light-load", 1, 0.01, 1, 0.2, 0.01, true},
-		{"clamped-high", 99, 0.01, 1, 1e-6, 1, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := PredictDelayedRatio(tc.lambda, tc.es, tc.scv, tc.longLat)
-			if got < 0 || got > 1 {
-				t.Fatalf("ratio %g outside [0,1]", got)
-			}
-			if tc.upTo {
-				if got > tc.want {
-					t.Fatalf("ratio = %g, want ≤ %g", got, tc.want)
-				}
-			} else if !almost(got, tc.want) {
-				t.Fatalf("ratio = %g, want %g", got, tc.want)
-			}
-		})
 	}
 }

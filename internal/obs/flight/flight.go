@@ -92,6 +92,9 @@ type PeriodRecord struct {
 	PowerW     float64 `json:"power_w,omitempty"`
 	BudgetW    float64 `json:"budget_w,omitempty"`
 	OverBudget bool    `json:"over_budget,omitempty"`
+	// EpochNs is the wall time of the fleet reallocation epoch this
+	// period's boundary ran; 0 when none ran.
+	EpochNs int64 `json:"epoch_ns,omitempty"`
 }
 
 // IngestNsPerRef is the per-reference ingest cost, zero when no
@@ -150,8 +153,8 @@ func (r *Recorder) Record(rec PeriodRecord) {
 	r.mu.Unlock()
 }
 
-// AmendCheckpoint attaches a checkpoint wall time to the most recent
-// record for disk (checkpoints are written after the period record is
+// AmendCheckpoint attaches a checkpoint wall time to the record for
+// disk's period (checkpoints are written after the period record is
 // cut, outside the shard lock). No-op when the record has rotated out
 // or on a nil receiver.
 func (r *Recorder) AmendCheckpoint(disk string, period int64, ns int64) {
@@ -159,13 +162,37 @@ func (r *Recorder) AmendCheckpoint(disk string, period int64, ns int64) {
 		return
 	}
 	r.mu.Lock()
-	for i := range r.ring {
-		if r.ring[i].Disk == disk && r.ring[i].Period == period {
-			r.ring[i].CheckpointNs = ns
-			break
-		}
+	if rec := r.find(disk, period); rec != nil {
+		rec.CheckpointNs = ns
 	}
 	r.mu.Unlock()
+}
+
+// AmendEpoch attaches a fleet epoch wall time to the record for disk's
+// period (the epoch runs after the period record is cut). No-op when the
+// record has rotated out or on a nil receiver.
+func (r *Recorder) AmendEpoch(disk string, period int64, ns int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if rec := r.find(disk, period); rec != nil {
+		rec.EpochNs = ns
+	}
+	r.mu.Unlock()
+}
+
+// find returns the retained record for disk's period, searching newest
+// first; nil when it has rotated out. Called with r.mu held.
+func (r *Recorder) find(disk string, period int64) *PeriodRecord {
+	n := len(r.ring)
+	for k := 1; k <= n; k++ {
+		rec := &r.ring[(r.next-k+n)%n]
+		if rec.Disk == disk && rec.Period == period {
+			return rec
+		}
+	}
+	return nil
 }
 
 // Last returns up to n records, oldest first, newest last. n ≤ 0 means

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(rec(1, 1))
 	r.AmendCheckpoint("d0", 1, 5)
+	r.AmendEpoch("d0", 1, 5)
 	if r.Enabled() {
 		t.Error("nil recorder reports Enabled")
 	}
@@ -73,15 +75,38 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestAmendCheckpoint covers both amendments (checkpoint and fleet
+// epoch wall times) before and after the ring wraps.
 func TestAmendCheckpoint(t *testing.T) {
 	r := New(4)
 	r.Record(rec(1, 100))
 	r.Record(rec(2, 100))
 	r.AmendCheckpoint("d0", 2, 777)
 	r.AmendCheckpoint("d0", 99, 888) // rotated out / never existed: no-op
+	r.AmendEpoch("d0", 1, 55)
 	recs := r.Last(0)
 	if recs[0].CheckpointNs != 0 || recs[1].CheckpointNs != 777 {
 		t.Errorf("CheckpointNs = [%d %d], want [0 777]", recs[0].CheckpointNs, recs[1].CheckpointNs)
+	}
+	if recs[0].EpochNs != 55 || recs[1].EpochNs != 0 {
+		t.Errorf("EpochNs = [%d %d], want [55 0]", recs[0].EpochNs, recs[1].EpochNs)
+	}
+	for p := int64(3); p <= 6; p++ {
+		r.Record(rec(p, 100))
+	}
+	r.AmendEpoch("d0", 6, 66)
+	r.AmendEpoch("d0", 3, 33)
+	r.AmendEpoch("d0", 2, 22) // rotated out: no-op
+	r.AmendCheckpoint("d1", 5, 1)
+	var got []int64
+	for _, x := range r.Last(0) {
+		got = append(got, x.EpochNs)
+		if x.CheckpointNs != 0 {
+			t.Errorf("period %d: CheckpointNs %d amended for another disk", x.Period, x.CheckpointNs)
+		}
+	}
+	if want := []int64{33, 0, 0, 66}; !reflect.DeepEqual(got, want) {
+		t.Errorf("wrapped ring EpochNs = %v, want %v", got, want)
 	}
 }
 

@@ -4,129 +4,135 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"time"
 
 	"jointpm/internal/fleet"
 )
 
 // This file wires the fleet power-cap coordinator (internal/fleet) into
-// the daemon: per-shard summary collection, the reallocation epoch, and
-// the /debug/fleet query surface. Everything is a no-op when the server
-// was built without a cap (s.coord == nil), so the uncapped daemon is
-// byte-identical to a build without the layer.
+// the daemon: demand and budget publication, the reallocation epoch,
+// and the /debug/fleet query surface. Everything is a no-op when the
+// server was built without a cap (s.coord == nil), so the uncapped
+// daemon is byte-identical to a build without the layer.
+//
+// A shard and an epoch meet only through two atomics on the shard. The
+// shard publishes its demand, max(floor, last decision's priced power),
+// whenever its manager's last decision changes; the epoch publishes a
+// budget back, which the shard installs under its own lock before it
+// next decides, snapshots or reports status. So an epoch takes no shard
+// lock: it is O(shards) loads and stores on dense reused arrays.
+
+// noBudget marks a shard's published budget as already installed. No
+// solve produces it: it is a NaN bit pattern.
+const noBudget = math.MaxUint64
 
 // FleetEnabled reports whether a global power cap is active.
 func (s *Server) FleetEnabled() bool { return s.coord != nil }
 
-// setBudget installs a fleet budget on the shard: 0 or +Inf clears the
-// constraint (the manager sanitises), anything else caps the slate.
-func (sh *Shard) setBudget(w float64) {
-	sh.mu.Lock()
+// publishDemand offers the shard's current demand to the next epoch.
+// Called with sh.mu held whenever the manager's last decision changes;
+// a no-op when uncapped.
+func (sh *Shard) publishDemand() {
+	if sh.srv.coord == nil {
+		return
+	}
+	w := sh.srv.floorW
+	if p := sh.ctl.Manager().LastPowerW(); p > w {
+		w = p
+	}
+	sh.demandBits.Store(math.Float64bits(w))
+}
+
+// installBudget installs the budget an epoch published since the last
+// install: 0 or +Inf clears the constraint (the manager sanitises),
+// anything else caps the slate. Called with sh.mu held; a no-op when
+// uncapped.
+func (sh *Shard) installBudget() {
+	if sh.srv.coord == nil {
+		return
+	}
+	bits := sh.budgetBits.Swap(noBudget)
+	if bits == noBudget {
+		return
+	}
+	w := math.Float64frombits(bits)
 	if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
 		sh.budgetW = w
 	} else {
 		sh.budgetW = 0
 	}
 	sh.ctl.Manager().SetPowerBudget(w)
-	sh.mu.Unlock()
 }
 
 // fleetEpochLocked drains an armed fleet reallocation at a period
 // boundary. It runs between closePeriod calls — never mid-request — so
 // the next period decides under the budget this epoch solved, at the
 // same point in the stream regardless of how the caller batches ingest
-// (one request, a ring drain block, or a FinishTo catch-up). The shard
-// lock is released around the solve because FleetReallocate locks every
-// shard to collect summaries; called with sh.mu held, returns with it
-// held.
+// (one request, a ring drain block, or a FinishTo catch-up). The epoch
+// takes no shard lock, so it runs under sh.mu. With introspection
+// enabled its wall time lands in serve.fleet_epoch_wall_s and on the
+// period record that armed it.
 func (sh *Shard) fleetEpochLocked() {
 	if !sh.fleetDue {
 		return
 	}
 	sh.fleetDue = false
-	sh.mu.Unlock()
-	sh.srv.FleetReallocate()
-	sh.mu.Lock()
+	if !sh.timed {
+		sh.srv.runEpoch()
+		return
+	}
+	start := time.Now()
+	sh.srv.runEpoch()
+	ns := time.Since(start).Nanoseconds()
+	sh.srv.met.fleetEpochWall.Observe(float64(ns) / 1e9)
+	sh.rec.AmendEpoch(sh.name, sh.ctl.Periods(), ns)
 }
 
-// fleetSummary snapshots the shard's per-epoch report: the fairness
-// floor, the last decision's priced power as the demand, and the
-// diagnostic columns (ingest rate, qmodel delayed-ratio estimate,
-// current (m, t_o), cumulative priced ledger).
-func (sh *Shard) fleetSummary(floorW float64) fleet.Summary {
-	sh.mu.Lock()
-	last := sh.ctl.Manager().Last()
-	periods := sh.ctl.Periods()
-	refs := sh.refsTotal
-	sh.mu.Unlock()
-
-	sum := fleet.Summary{
-		Disk:     sh.name,
-		FloorW:   floorW,
-		DemandW:  floorW,
-		Banks:    last.Banks,
-		TimeoutS: float64(last.Timeout),
-		Level:    last.Level,
-		Energy:   sh.rec.Sum(),
-	}
-	if w := float64(last.Chosen.TotalPower); w > floorW {
-		sum.DemandW = w
-	}
-	p := sh.srv.params
-	if span := float64(periods) * float64(p.Period); span > 0 {
-		sum.RefsPerSec = float64(refs) / span
-		lambda := float64(last.Chosen.DiskAccesses) / float64(p.Period)
-		es := float64(p.DiskSpec.ServiceTime(p.PageSize))
-		sum.DelayedRatio = fleet.PredictDelayedRatio(lambda, es, 1, float64(p.LongLatency))
-	}
-	return sum
+// runEpoch runs one reallocation epoch; epochs are serialised.
+func (s *Server) runEpoch() {
+	s.fleetMu.Lock()
+	s.epochLocked()
+	s.fleetMu.Unlock()
 }
 
-// FleetReallocate runs one reallocation epoch: collect every shard's
-// summary (respecting any injected drop/late faults), solve the cap
-// into per-shard budgets, and push them down into each manager. Called
-// from shard goroutines whenever a period boundary hits the epoch
-// cadence, and explicitly by callers that want budgets installed before
-// ingest begins; serialised so concurrent triggers cannot interleave a
-// solve with its budget pushes. No-op without a coordinator.
+// epochLocked collects every shard's published demand into a dense
+// array, lets the coordinator solve it (honouring any injected drop and
+// late faults), and publishes each shard's budget. Called with fleetMu
+// held; allocates nothing once the arrays have grown to the shard
+// count.
+func (s *Server) epochLocked() {
+	s.mu.Lock()
+	shards := s.list
+	s.mu.Unlock()
+	n := len(shards)
+	if cap(s.epochDemand) < n {
+		s.epochDemand = make([]float64, n, cap(shards))
+		s.epochBudget = make([]float64, n, cap(shards))
+	}
+	demand, budget := s.epochDemand[:n], s.epochBudget[:n]
+	for i, sh := range shards {
+		demand[i] = math.Float64frombits(sh.demandBits.Load())
+	}
+	s.coord.Collect(demand, budget, s.cfg.Injector)
+	for i, sh := range shards {
+		sh.budgetBits.Store(math.Float64bits(budget[i]))
+	}
+	s.met.fleetEpochs.Inc()
+}
+
+// FleetReallocate runs one reallocation epoch — the one a shard's
+// boundary runs when it hits the epoch cadence — and returns a copy of
+// its assignments in shard creation order. Callers that want budgets
+// installed before ingest begins call it once the shards exist. No-op
+// without a coordinator.
 func (s *Server) FleetReallocate() []fleet.Assignment {
 	if s.coord == nil {
 		return nil
 	}
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
-
-	s.mu.Lock()
-	names := append([]string(nil), s.order...)
-	shards := make([]*Shard, 0, len(names))
-	for _, n := range names {
-		shards = append(shards, s.shards[n])
-	}
-	s.mu.Unlock()
-
-	epoch := s.coord.Epoch() + 1
-	inj := s.cfg.Injector
-	var late []fleet.Summary
-	for i, sh := range shards {
-		if inj.SummaryDropped(epoch, i) {
-			continue
-		}
-		sum := sh.fleetSummary(s.floorW)
-		if inj.SummaryLate(epoch, i) {
-			late = append(late, sum)
-			continue
-		}
-		s.coord.Observe(sum)
-	}
-	asg := s.coord.Reallocate(names)
-	for i, sh := range shards {
-		sh.setBudget(asg[i].BudgetW)
-	}
-	// Late summaries land after the solve; the next epoch sees them.
-	for _, sum := range late {
-		s.coord.Observe(sum)
-	}
-	s.met.fleetEpochs.Inc()
-	return asg
+	s.epochLocked()
+	return s.coord.Latest()
 }
 
 // FleetStatus is the /debug/fleet payload.

@@ -28,6 +28,10 @@ type serveMetrics struct {
 	ingestPerRef   *obs.Histogram // serve.ingest_ns_per_ref
 	boundaryToEmit *obs.Histogram // serve.boundary_to_emit_s
 	checkpointWall *obs.Histogram // serve.checkpoint_wall_s
+	// fleetEpochWall (serve.fleet_epoch_wall_s) times the reallocation
+	// epochs shard boundaries run; registered only on a capped server,
+	// so uncapped /metrics output is unchanged.
+	fleetEpochWall *obs.Histogram
 
 	// Energy-attribution ledger accumulated across every shard's closed
 	// periods (priced split; see core.Decision.PricedLedger).

@@ -169,10 +169,13 @@ type Server struct {
 
 	// coord is the fleet power-cap coordinator; nil when PowerCapW leaves
 	// the server uncapped. fleetMu serialises reallocation epochs (any
-	// shard's ingest goroutine can trigger one).
-	coord   *fleet.Coordinator
-	floorW  float64 // per-shard fairness floor the coordinator solves with
-	fleetMu sync.Mutex
+	// shard's ingest goroutine can trigger one) and guards the epoch's
+	// dense per-shard demand and budget arrays.
+	coord       *fleet.Coordinator
+	floorW      float64 // per-shard fairness floor the coordinator solves with
+	fleetMu     sync.Mutex
+	epochDemand []float64
+	epochBudget []float64
 
 	// Stream-lag extrapolation state for the heartbeat: the last
 	// observed lag and the wall time it was observed at (UnixNano, 0
@@ -186,7 +189,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	shards map[string]*Shard
-	order  []string // shard creation order, for stable snapshots
+	list   []*Shard // creation order, for stable snapshots and fleet slots
 	closed bool
 }
 
@@ -237,6 +240,8 @@ func New(cfg Config) (*Server, error) {
 		s.floorW = float64(cfg.MemSpec.NapPower())*float64(totalBanks) +
 			float64(cfg.DiskSpec.StaticPower())
 		s.coord = fleet.NewCoordinator(cfg.PowerCapW, s.floorW)
+		s.met.fleetEpochWall = cfg.Metrics.Histogram("serve.fleet_epoch_wall_s",
+			[]float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 0.001, 0.005, 0.01, 0.1})
 	}
 	s.startHeartbeat()
 	return s, nil
@@ -301,7 +306,10 @@ func (s *Server) Shard(name string) (*Shard, error) {
 		return nil, err
 	}
 	s.shards[name] = sh
-	s.order = append(s.order, name)
+	s.list = append(s.list, sh)
+	if s.coord != nil {
+		s.coord.Join(name)
+	}
 	s.met.shards.Set(float64(len(s.shards)))
 	return sh, nil
 }
@@ -362,13 +370,7 @@ func (s *Server) Checkpoint() error {
 // shard is locked individually, so a snapshot lands on request
 // boundaries without stalling the whole server behind one lock.
 func (s *Server) snapshotState() []shardState {
-	s.mu.Lock()
-	order := append([]string(nil), s.order...)
-	shards := make([]*Shard, 0, len(order))
-	for _, name := range order {
-		shards = append(shards, s.shards[name])
-	}
-	s.mu.Unlock()
+	shards := s.shardList()
 	out := make([]shardState, 0, len(shards))
 	for _, sh := range shards {
 		sh.mu.Lock()

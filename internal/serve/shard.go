@@ -57,10 +57,9 @@ type Shard struct {
 	ckptPeriod int64
 
 	// fleetDue marks that a period boundary hit the fleet-epoch cadence;
-	// the reallocation runs after sh.mu is released for the same reason
-	// as ckptDue (FleetReallocate locks every shard to collect
-	// summaries). budgetW is the shard's current fleet budget in watts
-	// (0: uncapped), mirrored into the manager and the snapshot.
+	// closeThrough runs the reallocation right after that boundary.
+	// budgetW is the shard's installed fleet budget in watts (0:
+	// uncapped), mirrored into the manager and the snapshot.
 	fleetDue bool
 	budgetW  float64
 
@@ -78,6 +77,13 @@ type Shard struct {
 	// published by ServeStream so Status can report ring occupancy
 	// without touching sh.mu.
 	ring atomic.Pointer[Ingestor]
+
+	// The shard's side of a fleet epoch (see fleet.go): demandBits is
+	// the demand the shard last published, and budgetBits the budget the
+	// last epoch published for it, noBudget once installed. Both hold
+	// float64 bits and are only written on a capped server.
+	demandBits atomic.Uint64
+	budgetBits atomic.Uint64
 }
 
 func newShard(name string, srv *Server) (*Shard, error) {
@@ -97,6 +103,8 @@ func newShard(name string, srv *Server) (*Shard, error) {
 		return nil, fmt.Errorf("serve: shard %s: %w", name, err)
 	}
 	sh.ctl = ctl
+	sh.budgetBits.Store(noBudget)
+	sh.publishDemand()
 	return sh, nil
 }
 
@@ -281,6 +289,7 @@ func (sh *Shard) closePeriod() error {
 	if sh.timed {
 		boundaryStart = time.Now()
 	}
+	sh.installBudget()
 	deciding := !sh.ctl.Warming()
 	if deciding {
 		sh.srv.acquire()
@@ -289,6 +298,7 @@ func (sh *Shard) closePeriod() error {
 	if deciding {
 		sh.srv.release()
 	}
+	sh.publishDemand()
 	rec.Disk = sh.name
 	rec.IngestNs = sh.ingestNs
 	sh.ingestNs = 0
@@ -340,10 +350,13 @@ func (sh *Shard) closePeriod() error {
 	return nil
 }
 
-// state captures the shard's snapshot payload. Called with sh.mu held;
-// the controller's checkpoint copies the period log, so an ingesting
-// connection is stalled for a memcpy while a checkpoint marks the shard.
+// state captures the shard's snapshot payload, with any budget an epoch
+// published since the last boundary installed first. Called with sh.mu
+// held; the controller's checkpoint copies the period log, so an
+// ingesting connection is stalled for a memcpy while a checkpoint marks
+// the shard.
 func (sh *Shard) state() shardState {
+	sh.installBudget()
 	return shardState{
 		Name:            sh.name,
 		Consumed:        sh.consumed,
@@ -385,6 +398,10 @@ func (sh *Shard) restore(st shardState) error {
 		return fmt.Errorf("serve: shard %s: ingested state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
 	}
 	mgr := sh.ctl.Manager()
+	sh.publishDemand()
+	// A budget an epoch published before the restore is superseded by
+	// the snapshot's, as if the epoch had installed it at once.
+	sh.installBudget()
 	if st.RefitDrift >= 0 {
 		// The snapshot records the drift-hold fraction the checkpointed
 		// daemon ran with; adopt it so a warm restart keeps the mode even

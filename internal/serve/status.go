@@ -78,9 +78,12 @@ type Status struct {
 	Counters    []obs.NamedInt `json:"counters,omitempty"`
 }
 
-// status snapshots one shard's summary.
+// status snapshots one shard's summary. A budget an epoch published
+// since the shard's last boundary is installed first, so the budget
+// reported is the one the next decision runs under.
 func (sh *Shard) status() ShardStatus {
 	sh.mu.Lock()
+	sh.installBudget()
 	last := sh.ctl.Manager().Last()
 	st := ShardStatus{
 		Disk:         sh.name,
@@ -111,15 +114,12 @@ func (sh *Shard) status() ShardStatus {
 	return st
 }
 
-// shardList snapshots the shards in creation order.
+// shardList returns the shards in creation order. The slice is shared:
+// shards are only ever appended, so its elements never change.
 func (s *Server) shardList() []*Shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Shard, 0, len(s.order))
-	for _, name := range s.order {
-		out = append(out, s.shards[name])
-	}
-	return out
+	return s.list
 }
 
 // Status assembles the daemon-wide summary: per-shard controller state
