@@ -39,7 +39,7 @@ func main() {
 func run() (retErr error) {
 	var (
 		tracePath     = flag.String("trace", "", "binary trace file (required)")
-		method        = flag.String("method", "JOINT", "method name, e.g. JOINT, ALWAYS-ON, 2TFM-16GB, ADPD-128GB")
+		method        = flag.String("method", "JOINT", "method name, e.g. JOINT, ALWAYS-ON, 2TFM-16GB, ADPD-128GB, DRFM-128GB")
 		memTotal      = flag.String("mem", "128GB", "installed physical memory")
 		bank          = flag.String("bank", "16MB", "memory bank size")
 		period        = flag.Float64("period", 600, "adaptation period in seconds")
@@ -50,7 +50,7 @@ func run() (retErr error) {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep serving metrics this long after the run finishes")
 		decTrace      = flag.String("decision-trace", "", "append one JSON line per joint decision to this file")
 		refitDrift    = flag.Float64("refit-drift", 0, "steady-state refit drift-hold fraction (0: full slate search every period; 0.05 recommended)")
-		speedLevels   = flag.Int("speed-levels", 0, "derive a DRPM speed ladder of N levels from the disk spec; the joint slate prices every candidate at every level (0 or 1: single-speed)")
+		speedLevels   = flag.Int("speed-levels", 0, "derive a DRPM speed ladder of N levels from the disk spec; the joint slate prices every candidate at every level, and DR methods (required: N ≥ 2) scale speed under a utilization cap (0 or 1: single-speed)")
 		faultsPath    = flag.String("faults", "", "JSON fault plan: run under injected faults and check invariants")
 		faultSeed     = flag.Uint64("fault-seed", 1, "seed for the -faults injector")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -478,19 +478,20 @@ type TimeoutChoice struct {
 	Clamped   bool            // the floor raised Timeout above Unclamped
 }
 
-// ChooseTimeout runs the paper's timeout analysis (Section IV-C/D) on a
+// chooseTimeout runs the paper's timeout analysis (Section IV-C/D) on a
 // set of idle intervals: fit a Pareto distribution, take t_o = α·t_be
 // (eq. 5, or t_be under the FixedTimeout ablation), and raise it to the
 // eq. 6 performance floor given nd disk accesses out of cacheAccesses
-// cache accesses over a span of span seconds. The multi-disk extension
-// uses this directly, once per spindle.
-func (m *Manager) ChooseTimeout(intervals []float64, nd, cacheAccesses int64, span float64) TimeoutChoice {
+// cache accesses over a span of span seconds. Production decides through
+// chooseTimeoutStats; the replay oracle and the fitter tests call this
+// interval-list form.
+func (m *Manager) chooseTimeout(intervals []float64, nd, cacheAccesses int64, span float64) TimeoutChoice {
 	fit, err := pareto.FitMoments(intervals, float64(m.p.Window))
 	return m.finishTimeout(fit, err, int64(len(intervals)), nd, cacheAccesses, span)
 }
 
 // finishTimeout is the fit-independent tail of the timeout analysis,
-// shared by ChooseTimeout (interval list) and chooseTimeoutStats
+// shared by chooseTimeout (interval list) and chooseTimeoutStats
 // (streaming reductions) so both produce bit-identical choices: apply
 // eq. 5, derive the eq. 6 floor from the interval count ni, and clamp.
 func (m *Manager) finishTimeout(fit pareto.Dist, err error, ni, nd, cacheAccesses int64, span float64) TimeoutChoice {
@@ -535,16 +536,6 @@ func (m *Manager) finishTimeout(fit pareto.Dist, err error, ni, nd, cacheAccesse
 	}
 	tc.Timeout = simtime.Seconds(to)
 	return tc
-}
-
-// EmpiricalPMPower values a disk's static + transition power for timeout
-// to over a span of T seconds, directly against a sample of idle
-// intervals (see empiricalPMPower). It lets callers outside the manager —
-// the multi-disk extension sets one timeout per spindle — apply the same
-// "spinning down must beat staying on" test the manager applies.
-func EmpiricalPMPower(intervals []float64, to, T float64, spec disk.Spec) float64 {
-	return empiricalPMPower(intervals, to, T,
-		float64(spec.StaticPower()), float64(spec.BreakEven()))
 }
 
 // empiricalPMPower values the disk's static + transition power for

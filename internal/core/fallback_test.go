@@ -11,7 +11,7 @@ import (
 )
 
 // TestChooseTimeoutDegenerateSamples drives the fitter's edge cases
-// through ChooseTimeout: each degenerate sample must keep the
+// through chooseTimeout: each degenerate sample must keep the
 // 2-competitive t_be, report FitOK=false, and bump the fit_degenerate
 // counter; the near-critical heavy tail must survive via the α clamp.
 func TestChooseTimeoutDegenerateSamples(t *testing.T) {
@@ -39,7 +39,7 @@ func TestChooseTimeoutDegenerateSamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc := m.ChooseTimeout(c.intervals, 100, 10000, float64(p.Period))
+			tc := m.chooseTimeout(c.intervals, 100, 10000, float64(p.Period))
 			tbe := p.DiskSpec.BreakEven()
 			if tc.FitOK != c.fitOK {
 				t.Fatalf("FitOK = %v, want %v", tc.FitOK, c.fitOK)

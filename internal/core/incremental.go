@@ -572,9 +572,9 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	}
 }
 
-// chooseTimeoutStats is ChooseTimeout on pre-reduced interval statistics:
+// chooseTimeoutStats is chooseTimeout on pre-reduced interval statistics:
 // ni intervals with minimum minGap and total sumGap, accumulated in
-// chronological order. Shares finishTimeout with ChooseTimeout so the two
+// chronological order. Shares finishTimeout with chooseTimeout so the two
 // entry points are bit-identical on the same sample.
 func (m *Manager) chooseTimeoutStats(ni int64, minGap, sumGap float64, nd, cacheAccesses int64, span float64) TimeoutChoice {
 	fit, err := pareto.FitStats(ni, minGap, sumGap, float64(m.p.Window))

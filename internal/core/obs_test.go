@@ -23,7 +23,7 @@ func paretoSample(n int, alpha, beta float64, seed int64) []float64 {
 	return out
 }
 
-// TestChooseTimeoutFloorClamp drives ChooseTimeout through both sides of
+// TestChooseTimeoutFloorClamp drives chooseTimeout through both sides of
 // the eq. 6 performance floor: a tight delay cap D must raise the
 // timeout to the floor and bump the clamp counter; a loose cap must
 // leave t_o = α·t_be untouched and the counter unmoved.
@@ -49,7 +49,7 @@ func TestChooseTimeoutFloorClamp(t *testing.T) {
 
 	// Tight cap: the floor must clamp.
 	m, reg := build(0.0005)
-	tc := m.ChooseTimeout(intervals, nd, cacheAccesses, span)
+	tc := m.chooseTimeout(intervals, nd, cacheAccesses, span)
 	if !tc.FitOK {
 		t.Fatalf("Pareto fit failed on the sample")
 	}
@@ -67,14 +67,14 @@ func TestChooseTimeoutFloorClamp(t *testing.T) {
 	}
 	// A second clamped call increments again — the counter tracks events,
 	// not a latch.
-	m.ChooseTimeout(intervals, nd, cacheAccesses, span)
+	m.chooseTimeout(intervals, nd, cacheAccesses, span)
 	if got := reg.CounterValue("core.decide.eq6_clamped"); got != 2 {
 		t.Errorf("clamp counter = %d after two clamped choices, want 2", got)
 	}
 
 	// Loose cap: same intervals, no clamp, counter untouched.
 	m, reg = build(0.5)
-	tc = m.ChooseTimeout(intervals, nd, cacheAccesses, span)
+	tc = m.chooseTimeout(intervals, nd, cacheAccesses, span)
 	if tc.Clamped {
 		t.Fatalf("DelayCap=0.5: unexpected clamp; floor=%v unclamped=%v", tc.Floor, tc.Unclamped)
 	}
@@ -123,7 +123,7 @@ func TestEmpiricalPMPowerMatchesModel(t *testing.T) {
 		var maxSavings float64
 		for _, mult := range []float64{0.5, 1, 2, 5} {
 			to := mult * tbe
-			emp := EmpiricalPMPower(intervals, to, T, spec)
+			emp := empiricalPMPower(intervals, to, T, pd, tbe)
 			mod := DiskPMPowerModel(dist, len(intervals), to, T, spec)
 			// Power may exceed p_d when the timeout is below break-even
 			// (transitions cost more than the sleep saves) — the case

@@ -68,7 +68,7 @@ func TestChooseTimeoutFallback(t *testing.T) {
 	tbe := float64(testParams().DiskSpec.BreakEven())
 	// Degenerate sample (single interval): fall back to the
 	// two-competitive timeout.
-	tc := m.ChooseTimeout([]float64{500}, 1, 100, 600)
+	tc := m.chooseTimeout([]float64{500}, 1, 100, 600)
 	if tc.FitOK {
 		t.Error("single interval should not fit")
 	}
@@ -76,7 +76,7 @@ func TestChooseTimeoutFallback(t *testing.T) {
 		t.Errorf("fallback timeout = %v, want t_be", tc.Timeout)
 	}
 	// Empty sample likewise.
-	tc = m.ChooseTimeout(nil, 0, 0, 600)
+	tc = m.chooseTimeout(nil, 0, 0, 600)
 	if tc.FitOK || math.Abs(float64(tc.Timeout)-tbe) > 1e-9 {
 		t.Errorf("empty-sample choice = %+v", tc)
 	}
@@ -88,7 +88,7 @@ func TestChooseTimeoutFixedAblation(t *testing.T) {
 	m, _ := NewManager(p)
 	tbe := float64(p.DiskSpec.BreakEven())
 	sample := []float64{5, 8, 13, 21, 34, 55, 89, 144}
-	tc := m.ChooseTimeout(sample, 8, 1000, 600)
+	tc := m.chooseTimeout(sample, 8, 1000, 600)
 	if !tc.FitOK {
 		t.Fatal("fit failed")
 	}
@@ -102,21 +102,21 @@ func TestEmpiricalPMPower(t *testing.T) {
 	pd := float64(spec.StaticPower())
 	tbe := float64(spec.BreakEven())
 	// No intervals: always-on power.
-	if got := EmpiricalPMPower(nil, 10, 600, spec); math.Abs(got-pd) > 1e-9 {
+	if got := empiricalPMPower(nil, 10, 600, pd, tbe); math.Abs(got-pd) > 1e-9 {
 		t.Errorf("no intervals: %g, want pd", got)
 	}
 	// One 300 s interval with a 10 s timeout over a 600 s period:
 	// off 290 s, one transition.
 	want := pd*(600-290)/600 + pd*tbe*1/600
-	if got := EmpiricalPMPower([]float64{300}, 10, 600, spec); math.Abs(got-want) > 1e-9 {
+	if got := empiricalPMPower([]float64{300}, 10, 600, pd, tbe); math.Abs(got-want) > 1e-9 {
 		t.Errorf("single interval: %g, want %g", got, want)
 	}
 	// Interval shorter than timeout: nothing saved, nothing paid.
-	if got := EmpiricalPMPower([]float64{5}, 10, 600, spec); math.Abs(got-pd) > 1e-9 {
+	if got := empiricalPMPower([]float64{5}, 10, 600, pd, tbe); math.Abs(got-pd) > 1e-9 {
 		t.Errorf("short interval: %g, want pd", got)
 	}
 	// Off time clamps at the period.
-	got := EmpiricalPMPower([]float64{10000}, 10, 600, spec)
+	got := empiricalPMPower([]float64{10000}, 10, 600, pd, tbe)
 	wantClamped := pd*0/600 + pd*tbe*1/600
 	if math.Abs(got-wantClamped) > 1e-9 {
 		t.Errorf("clamped: %g, want %g", got, wantClamped)

@@ -191,7 +191,7 @@ func (m *Manager) price(obs Observation, banks int, prof *depthProfile, interval
 	// Choose the timeout: t_o = α·t_be from the Pareto fit (eq. 5) under
 	// the eq. 6 floor, then value it against the observed intervals;
 	// spinning down must beat staying on or it is disabled.
-	tc := m.ChooseTimeout(intervals, nd, obs.CacheAccesses, T)
+	tc := m.chooseTimeout(intervals, nd, obs.CacheAccesses, T)
 	c.Fit = tc.Fit
 	c.FitOK = tc.FitOK
 	c.TimeoutFloor = tc.Floor

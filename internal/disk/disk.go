@@ -473,10 +473,11 @@ func (d *Disk) SetSpeedLevels(levels []SpeedLevel, perRPM simtime.Seconds) {
 
 // SetSpeedLevel changes the rotational speed at simulated time t. A
 // no-op without a ladder or when lvl is the current level; out-of-range
-// levels are clamped. A speed change on a spinning drive costs
-// transPerRPM·|ΔRPM| during which the platter is unavailable (the queue
-// is pushed back) and draws the higher of the two levels' idle powers —
-// the same convention internal/drpm's standalone model uses. Changing
+// levels are clamped. A speed change on a spinning drive starts at t and
+// takes transPerRPM·|ΔRPM|, during which it draws the higher of the two
+// levels' idle powers and the platter is unavailable: no request starts
+// service before t plus that time. A request already in service at t
+// keeps its completion time (the change overlaps its tail). Changing
 // "speed" while in standby just retargets the level the next spin-up
 // arrives at, with no extra cost (the platter is not turning).
 func (d *Disk) SetSpeedLevel(t simtime.Seconds, lvl int) {
@@ -505,8 +506,8 @@ func (d *Disk) SetSpeedLevel(t simtime.Seconds, lvl int) {
 		}
 		d.speedTransJ += simtime.Energy(hi, tt)
 		d.speedTransitions++
-		if d.now+tt > d.freeAt {
-			d.freeAt = d.now + tt
+		if t+tt > d.freeAt {
+			d.freeAt = t + tt
 		}
 	}
 	d.level = lvl

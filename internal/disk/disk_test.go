@@ -291,3 +291,36 @@ func TestMeanIdle(t *testing.T) {
 		t.Errorf("MeanIdle = %v", got)
 	}
 }
+
+// TestSpeedChangeStartsAtBoundary pins when a speed change occupies the
+// platter: from the time it is ordered, overlapping the tail of a
+// request already in service, not queued behind it.
+func TestSpeedChangeStartsAtBoundary(t *testing.T) {
+	spec := Barracuda()
+	levels := []SpeedLevel{
+		{RPM: 12000, IdlePower: spec.IdlePower, ActivePower: spec.ActivePower,
+			TransferRate: spec.TransferRate, RotLatency: spec.RotationalLatency},
+		{RPM: 6000, IdlePower: spec.IdlePower / 4, ActivePower: spec.IdlePower/4 + spec.DynamicPower(),
+			TransferRate: spec.TransferRate / 2, RotLatency: 2 * spec.RotationalLatency},
+	}
+	const perRPM = 1e-4 // 0.6 s across the ladder
+	run := func(change simtime.Seconds) (busyUntil, next simtime.Seconds) {
+		d := New(spec, 0.5)
+		d.SetSpeedLevels(levels, perRPM)
+		busyUntil, _ = d.Submit(0, 58*simtime.MB) // ~1.01 s at full speed
+		d.SetSpeedLevel(change, 1)
+		next, _ = d.Submit(change, 0)
+		return busyUntil, next
+	}
+	slowService := spec.SeekTime + levels[1].RotLatency
+	// The change ordered at 0.5 s ends at 1.1 s, after the request in
+	// service completes: the next request waits for the change.
+	if _, next := run(0.5); !almost(float64(next), 1.1+float64(slowService), 1e-12) {
+		t.Errorf("change at 0.5 s: next request finishes at %v, want %v", next, 1.1+slowService)
+	}
+	// The change ordered at 0.1 s ends at 0.7 s, inside the request in
+	// service: the next request waits only for that request.
+	if busy, next := run(0.1); !almost(float64(next), float64(busy+slowService), 1e-12) {
+		t.Errorf("change at 0.1 s: next request finishes at %v, want %v", next, busy+slowService)
+	}
+}

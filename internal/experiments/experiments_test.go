@@ -52,7 +52,7 @@ func TestScaleAxes(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"drpm", "extarray", "extdelay", "extoracle", "extutil", "fig1", "fig5", "fig7", "fig8pop", "fig8rate", "fig9", "table3", "table4", "table5"}
+	want := []string{"drpm", "extdelay", "extoracle", "extutil", "fig1", "fig5", "fig7", "fig8pop", "fig8rate", "fig9", "table3", "table4", "table5"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments: %v", len(got), got)

@@ -4,7 +4,7 @@ package lrusim
 
 const foldAsm = false
 
-func foldEmitsAVX2(emits []Emission, sum, min []float64)     { panic("lrusim: no asm kernel") }
+func foldEmitsAVX2(emits []Emission, sum, min []float64)          { panic("lrusim: no asm kernel") }
 func tailEmitsAVX2(emits []Emission, to, ts []float64, h []int64) { panic("lrusim: no asm kernel") }
 
 const gapAsm = false

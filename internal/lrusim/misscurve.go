@@ -2,7 +2,6 @@ package lrusim
 
 import (
 	"fmt"
-	"sort"
 
 	"jointpm/internal/simtime"
 )
@@ -106,6 +105,11 @@ func (c *MissCurve) String() string {
 // mirroring the paper's filtering of unusably short idleness. The records
 // must be time-ordered. It returns the interval lengths and the number of
 // disk accesses.
+//
+// IdleIntervals and BoundedIdleIntervals replay the log once per memory
+// size, O(refs × candidates) per period. No production path calls them:
+// the decision kernel folds gaps in one pass (GapStream), and these stay
+// as the reference that the tests in lrusim and core check it against.
 func IdleIntervals(log []DepthRecord, mPages int64, window simtime.Seconds) (intervals []float64, diskAccesses int64) {
 	return BoundedIdleIntervals(log, mPages, window, -1, -1)
 }
@@ -141,10 +145,4 @@ func BoundedIdleIntervals(log []DepthRecord, mPages int64, window, start, end si
 		}
 	}
 	return intervals, diskAccesses
-}
-
-// SortRecords time-orders a depth log in place; the simulator emits them
-// in order already, but transformed or merged logs may need it.
-func SortRecords(log []DepthRecord) {
-	sort.Slice(log, func(i, j int) bool { return log[i].Time < log[j].Time })
 }

@@ -192,11 +192,3 @@ func TestQuickIdleIntervalsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSortRecords(t *testing.T) {
-	log := recordsFromSeq([]float64{3, 1, 2}, []int{1, 2, 3})
-	SortRecords(log)
-	if log[0].Time != 1 || log[2].Time != 3 {
-		t.Errorf("not sorted: %v", log)
-	}
-}

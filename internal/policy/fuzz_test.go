@@ -5,7 +5,7 @@ import "testing"
 // FuzzParseName: the method-name parser never panics, and any accepted
 // sized method round-trips through Name().
 func FuzzParseName(f *testing.F) {
-	for _, s := range []string{"JOINT", "ALWAYS-ON", "2TFM-8GB", "ADPD-128GB", "EAFM-16GB", "", "2T", "XXYY-1GB"} {
+	for _, s := range []string{"JOINT", "ALWAYS-ON", "2TFM-8GB", "ADPD-128GB", "EAFM-16GB", "DRFM-256MB", "", "2T", "XXYY-1GB"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

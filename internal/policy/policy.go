@@ -11,6 +11,12 @@
 // plus the always-on baseline (disk never spins down, all memory naps)
 // and the paper's joint method, which manages both resources together
 // (implemented in internal/core and orchestrated by internal/sim).
+//
+// Two disk policies extend the paper's set: EA, exponential-average
+// predictive shutdown (PredictiveShutdown), and DR, DRPM-style dynamic
+// rotation speed under a utilization cap (SpeedCap). Like the timeout
+// policies they combine with any memory policy, e.g. "EAFM-16GB" or
+// "DRFM-256MB".
 package policy
 
 import (
@@ -23,7 +29,7 @@ import (
 	"jointpm/internal/simtime"
 )
 
-// DiskKind selects the disk spin-down policy.
+// DiskKind selects the disk power policy.
 type DiskKind int
 
 // Disk policy kinds.
@@ -35,6 +41,10 @@ const (
 	// DiskPredictive is the exponential-average predictive shutdown
 	// (see PredictiveShutdown), an extension beyond the paper's set.
 	DiskPredictive
+	// DiskSpeedCap never spins down and scales rotation speed under a
+	// utilization cap (see SpeedCap), an extension beyond the paper's
+	// set. It needs a speed ladder (sim.Config.SpeedLevels ≥ 2).
+	DiskSpeedCap
 )
 
 func (k DiskKind) String() string {
@@ -49,6 +59,8 @@ func (k DiskKind) String() string {
 		return "JT"
 	case DiskPredictive:
 		return "EA"
+	case DiskSpeedCap:
+		return "DR"
 	default:
 		return "??"
 	}
@@ -171,6 +183,8 @@ func ParseName(name string) (Method, error) {
 		m.Disk = DiskAlwaysOn
 	case "EA":
 		m.Disk = DiskPredictive
+	case "DR":
+		m.Disk = DiskSpeedCap
 	default:
 		return Method{}, fmt.Errorf("policy: unknown disk policy in %q", name)
 	}

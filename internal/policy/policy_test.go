@@ -27,7 +27,7 @@ func TestMethodNames(t *testing.T) {
 
 func TestParseNameRoundTrip(t *testing.T) {
 	names := []string{"2TFM-8GB", "2TFM-16GB", "ADFM-128GB", "2TPD-128GB",
-		"ADDS-128GB", "2TDS-64MB", "JOINT", "ALWAYS-ON"}
+		"ADDS-128GB", "2TDS-64MB", "DRFM-256MB", "DRDS-128GB", "JOINT", "ALWAYS-ON"}
 	for _, n := range names {
 		m, err := ParseName(n)
 		if err != nil {

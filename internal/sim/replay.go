@@ -23,11 +23,8 @@ import (
 func (rec *Recording) Replay(m policy.Method) (*Result, error) {
 	cfg := rec.cfg
 	cfg.Method = m
-	if cfg.Method.MemBytes == 0 {
-		cfg.Method.MemBytes = cfg.InstalledMem
-	}
-	if cfg.Method.MemBytes > cfg.InstalledMem {
-		return nil, fmt.Errorf("sim: method memory %v exceeds installed %v", cfg.Method.MemBytes, cfg.InstalledMem)
+	if err := cfg.resolveMethod(); err != nil {
+		return nil, err
 	}
 	key, ok := SharedCacheKey(cfg.Method, cfg.InstalledMem)
 	if !ok {
@@ -51,6 +48,8 @@ type backEnd struct {
 
 	disk *disk.Disk
 	mem  *mem.Memory
+
+	speedCap *policy.SpeedCap // DR method only
 
 	obsm engineMetrics
 
@@ -95,6 +94,8 @@ func newBackEnd(cfg Config, rec *Recording) *backEnd {
 		policy.NewAdaptiveTimeout(b.disk)
 	case policy.DiskPredictive:
 		policy.NewPredictiveShutdown(b.disk)
+	case policy.DiskSpeedCap:
+		b.speedCap = policy.NewSpeedCap(b.disk, cfg.SpeedLevels, cfg.Period)
 	}
 
 	if cfg.Method.Mem == policy.MemFixedNap && cfg.Method.MemBytes < cfg.InstalledMem {
@@ -227,6 +228,9 @@ func (b *backEnd) closePeriod(p *periodRec) {
 		Energy:        de.Total() + me.Total() - b.lastDiskEnergy.Total() - b.lastMemEnergy.Total(),
 		Banks:         b.mem.EnabledBanks(),
 		Timeout:       b.disk.Timeout(),
+	}
+	if b.speedCap != nil {
+		b.speedCap.Close(t, w)
 	}
 	b.obsm.periodBanks.Set(float64(stat.Banks))
 

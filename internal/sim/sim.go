@@ -61,13 +61,15 @@ type Config struct {
 	// recommended value). Zero re-evaluates the full slate every period.
 	RefitDriftFrac float64
 
-	// SpeedLevels, when ≥ 2, gives the joint method a DRPM speed ladder:
-	// drpm.DeriveLevels builds that many levels from the disk spec, the
-	// slate prices every candidate at every level, and the engine applies
-	// the chosen level to the disk model at each boundary. 0 or 1 keeps
-	// the single-speed drive and is bit-identical to a build without the
-	// speed dimension. Incompatible with Zoned (the zoned service model
-	// has no per-level mechanics).
+	// SpeedLevels, when ≥ 2, gives the disk a DRPM speed ladder of that
+	// many levels, built by drpm.DeriveLevels from the disk spec. The
+	// joint method's slate prices every candidate at every level and the
+	// engine applies the chosen level at each boundary; the DR method
+	// (policy.SpeedCap), which requires a ladder, picks the slowest level
+	// under its utilization cap at each boundary. Other methods ignore
+	// it. 0 or 1 keeps the single-speed drive and is bit-identical to a
+	// build without the speed dimension. Incompatible with Zoned (the
+	// zoned service model has no per-level mechanics).
 	SpeedLevels int
 
 	// Zoned, when set, replaces the flat service model with the zoned
@@ -148,16 +150,25 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.InstalledMem%cfg.BankSize != 0 {
 		return cfg, fmt.Errorf("sim: installed memory %v not a multiple of bank size %v", cfg.InstalledMem, cfg.BankSize)
 	}
-	if cfg.Method.MemBytes == 0 {
-		cfg.Method.MemBytes = cfg.InstalledMem
-	}
-	if cfg.Method.MemBytes > cfg.InstalledMem {
-		return cfg, fmt.Errorf("sim: method memory %v exceeds installed %v", cfg.Method.MemBytes, cfg.InstalledMem)
-	}
 	if cfg.SpeedLevels > 1 && cfg.Zoned != nil {
 		return cfg, fmt.Errorf("sim: speed levels unsupported with zoned disk")
 	}
-	return cfg, nil
+	return cfg, cfg.resolveMethod()
+}
+
+// resolveMethod defaults the method's memory to the installed size and
+// rejects methods the configuration cannot run.
+func (c *Config) resolveMethod() error {
+	if c.Method.MemBytes == 0 {
+		c.Method.MemBytes = c.InstalledMem
+	}
+	if c.Method.MemBytes > c.InstalledMem {
+		return fmt.Errorf("sim: method memory %v exceeds installed %v", c.Method.MemBytes, c.InstalledMem)
+	}
+	if c.Method.Disk == policy.DiskSpeedCap && c.SpeedLevels < 2 {
+		return fmt.Errorf("sim: method %s needs SpeedLevels ≥ 2, have %d", c.Method.Name(), c.SpeedLevels)
+	}
+	return nil
 }
 
 // PeriodStat is one adaptation period's window of metrics (Fig. 9 and the
@@ -247,6 +258,7 @@ type engine struct {
 	mem   *mem.Memory
 
 	adaptive *policy.AdaptiveTimeout
+	speedCap *policy.SpeedCap // DR method only
 	// ctl is the joint method's per-disk controller (nil otherwise): it
 	// annotates every page reference with its stack depth, streams the
 	// records into the manager, and decides at each boundary.
@@ -323,6 +335,8 @@ func newEngine(cfg Config) (*engine, error) {
 		e.adaptive = policy.NewAdaptiveTimeout(e.disk)
 	case policy.DiskPredictive:
 		policy.NewPredictiveShutdown(e.disk)
+	case policy.DiskSpeedCap:
+		e.speedCap = policy.NewSpeedCap(e.disk, cfg.SpeedLevels, cfg.Period)
 	case policy.DiskJoint:
 		e.disk.SetTimeout(0, cfg.DiskSpec.BreakEven())
 	}
@@ -573,6 +587,9 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 			stat.Banks = achieved
 			stat.Timeout = dec.Timeout
 		}
+	}
+	if e.speedCap != nil {
+		e.speedCap.Close(t, w)
 	}
 	// Measured energy-attribution ledger for the window: component
 	// deltas straight from the power models, not the manager's priced

@@ -16,13 +16,15 @@ import (
 var testFMSizes = []simtime.Bytes{8 * simtime.MB, 16 * simtime.MB, 32 * simtime.MB, 64 * simtime.MB, 128 * simtime.MB}
 
 // TestSplitMatchesFusedComparisonSet proves the tentpole equivalence:
-// for the full comparison method set, recording each distinct memory
-// configuration once and replaying every disk policy from the stream
-// produces results reflect.DeepEqual to the fused engine — including
-// float energy totals, per-period stats, and warmup windowing.
+// for the full comparison method set plus the DR method, recording each
+// distinct memory configuration once and replaying every disk policy
+// from the stream produces results reflect.DeepEqual to the fused
+// engine — including float energy totals, per-period stats, and warmup
+// windowing.
 func TestSplitMatchesFusedComparisonSet(t *testing.T) {
 	tr := testWorkload(t, 20, 1800)
-	methods := policy.Comparison(128*simtime.MB, testFMSizes)
+	methods := append(policy.Comparison(128*simtime.MB, testFMSizes),
+		policy.Method{Disk: policy.DiskSpeedCap, Mem: policy.MemFixedNap, MemBytes: 32 * simtime.MB})
 
 	recordings := map[CacheKey]*Recording{}
 	defer func() {
@@ -35,6 +37,7 @@ func TestSplitMatchesFusedComparisonSet(t *testing.T) {
 	for _, m := range methods {
 		cfg := testConfig(tr, m)
 		cfg.Warmup = 240
+		cfg.SpeedLevels = 4 // read by the DR method only
 
 		key, ok := SharedCacheKey(m, cfg.InstalledMem)
 		if !ok {

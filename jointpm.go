@@ -45,7 +45,6 @@ import (
 	"jointpm/internal/experiments"
 	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
-	"jointpm/internal/multidisk"
 	"jointpm/internal/pareto"
 	"jointpm/internal/policy"
 	"jointpm/internal/sim"
@@ -231,58 +230,17 @@ func DefaultJointParams(pageSize, bankSize Bytes, totalBanks int, d DiskSpec, m 
 	return core.DefaultParams(pageSize, bankSize, totalBanks, d, m)
 }
 
-// Multi-disk extension (the paper's future work, Section VI).
-type (
-	// ArrayConfig describes a multi-disk run.
-	ArrayConfig = multidisk.Config
-	// ArrayResult is a multi-disk run's outcome.
-	ArrayResult = multidisk.Result
-	// ArrayLayout selects the data layout across spindles.
-	ArrayLayout = multidisk.Layout
-	// ArrayMethod selects the per-spindle power management.
-	ArrayMethod = multidisk.DiskMethod
-)
-
-// Array layouts and methods.
-const (
-	LayoutStriped = multidisk.Striped
-	LayoutRanged  = multidisk.Ranged
-	LayoutHotCold = multidisk.HotCold
-
-	ArrayAlwaysOn       = multidisk.AlwaysOn
-	ArrayTwoCompetitive = multidisk.TwoCompetitive
-	ArrayJoint          = multidisk.Joint
-	// ArrayPartitioned is the PB-LRU-style power-aware cache partitioning
-	// comparator (Zhu et al., the paper's reference [36]).
-	ArrayPartitioned = multidisk.Partitioned
-)
-
-// RunArray executes a multi-disk simulation.
-func RunArray(cfg ArrayConfig) (*ArrayResult, error) { return multidisk.Run(cfg) }
-
-// Multi-speed (DRPM-style) disk extension.
-type (
-	// DRPMConfig describes a dynamic-rotation-speed run.
-	DRPMConfig = drpm.Config
-	// DRPMResult is its outcome.
-	DRPMResult = drpm.Result
-	// DRPMSpec is a multi-speed drive model.
-	DRPMSpec = drpm.Spec
-)
-
-// DRPM speed policies.
-const (
-	DRPMFullSpeed = drpm.FullSpeed
-	DRPMAdaptive  = drpm.Adaptive
-)
+// DRPMSpec is a multi-speed (DRPM-style) drive model. Setting
+// SimConfig.SpeedLevels derives one from the run's disk: it gives the
+// joint method a speed dimension, and it is required by the DR method
+// (e.g. ParseMethod("DRFM-256MB")), which scales rotation speed under a
+// utilization cap instead of spinning down.
+type DRPMSpec = drpm.Spec
 
 // DeriveDRPMLevels builds a multi-speed ladder from a single-speed drive.
 func DeriveDRPMLevels(base DiskSpec, fullRPM, steps int) DRPMSpec {
 	return drpm.DeriveLevels(base, fullRPM, steps)
 }
-
-// RunDRPM executes a multi-speed disk simulation.
-func RunDRPM(cfg DRPMConfig) (*DRPMResult, error) { return drpm.Run(cfg) }
 
 // Experiments (paper tables and figures).
 type (

@@ -162,7 +162,7 @@ func TestFacadeHelpers(t *testing.T) {
 	if len(ms) != 10 { // 2 disks × (2 FM + PD + DS) + joint + always-on
 		t.Errorf("comparison set = %d", len(ms))
 	}
-	if len(ExperimentIDs()) != 14 {
+	if len(ExperimentIDs()) != 13 {
 		t.Errorf("experiments = %d", len(ExperimentIDs()))
 	}
 	if _, err := ExperimentByID("fig7"); err != nil {
@@ -223,41 +223,23 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("zoned run: %v", err)
 	}
 
-	// Multi-disk with the PB-LRU-style partitioning.
-	ares, err := RunArray(ArrayConfig{
+	// The DR (speed-cap) method through the engine, on a derived ladder.
+	if spec := DeriveDRPMLevels(Barracuda(), 12000, 3); len(spec.Levels) != 3 {
+		t.Errorf("ladder has %d levels, want 3", len(spec.Levels))
+	}
+	dres, err := Run(SimConfig{
 		Trace:        tr,
-		Disks:        2,
-		Layout:       LayoutHotCold,
-		Method:       ArrayPartitioned,
+		Method:       mustParse(t, "DRFM-64MB"),
 		InstalledMem: 64 * MB,
 		BankSize:     MB,
 		Period:       5 * Minute,
+		SpeedLevels:  3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ares.Partitions) != 2 {
-		t.Errorf("partitions = %v", ares.Partitions)
-	}
-
-	// DRPM.
-	spec := DeriveDRPMLevels(Barracuda(), 12000, 3)
-	dres, err := RunDRPM(DRPMConfig{
-		Trace:    tr,
-		Spec:     spec,
-		Policy:   DRPMAdaptive,
-		MemBytes: 64 * MB,
-		BankSize: MB,
-		Period:   5 * Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.TotalEnergy() <= 0 {
-		t.Error("DRPM energy")
-	}
-	if DRPMFullSpeed == DRPMAdaptive {
-		t.Error("policy constants collide")
+	if dres.TotalEnergy() <= 0 || dres.Method.Name() != "DRFM-64MB" {
+		t.Errorf("DR run: energy %v, method %s", dres.TotalEnergy(), dres.Method.Name())
 	}
 
 	// EA method through the engine.
